@@ -110,41 +110,6 @@ impl AtmState {
         }
     }
 
-    /// Health probe: the first non-finite value in the prognostic and
-    /// surface state, as `(variable, value)`. `None` means the component
-    /// is numerically healthy; the supervision layer sends this with each
-    /// heartbeat.
-    pub fn first_nonfinite(&self) -> Option<(&'static str, f64)> {
-        let fields3: [(&'static str, &Field3); 6] = [
-            ("atm.delta", &self.delta),
-            ("atm.vn", &self.vn),
-            ("atm.qv", &self.qv),
-            ("atm.qc", &self.qc),
-            ("atm.co2", &self.co2),
-            ("atm.o3", &self.o3),
-        ];
-        for (name, f) in fields3 {
-            if let Some(&v) = f.as_slice().iter().find(|v| !v.is_finite()) {
-                return Some((name, v));
-            }
-        }
-        let fields2: [(&'static str, &Field2); 7] = [
-            ("atm.precip_acc", &self.precip_acc),
-            ("atm.evap_acc", &self.evap_acc),
-            ("atm.precip_rate", &self.precip_rate),
-            ("atm.evap_rate", &self.evap_rate),
-            ("atm.t_surface", &self.t_surface),
-            ("atm.co2_flux", &self.co2_surface_flux),
-            ("atm.lmf", &self.land_moisture_flux),
-        ];
-        for (name, f) in fields2 {
-            if let Some(&v) = f.as_slice().iter().find(|v| !v.is_finite()) {
-                return Some((name, v));
-            }
-        }
-        None
-    }
-
     /// Total dry air mass (area-weighted column depth, m^3) — conserved
     /// exactly by dynamics and physics.
     pub fn total_mass<G: CGrid>(&self, grid: &G, owned_cells: usize) -> f64 {

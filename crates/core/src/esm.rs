@@ -26,6 +26,7 @@ use icongrid::{Field2, Grid, LandSeaMask, NoExchange};
 use land::{kernels::LaunchMode, LandModel, LandParams};
 use ocean::{Ocean, OceanParams};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Air density of the wind-stress bulk formula (kg/m^3).
 const RHO_AIR: f64 = 1.2;
@@ -134,232 +135,107 @@ impl CoupledEsm {
     /// typed [`FluxError`] instead of a panic; component state up to the
     /// last completed window is preserved.
     pub fn run_windows(&mut self, n: usize, concurrent: bool) -> Result<(), FluxError> {
-        let t0 = std::time::Instant::now();
-        let cfg = self.cfg.clone();
-        let grid = self.grid.clone();
-        let window0 = self.windows_run;
-        self.timers.threads = rayon::current_num_threads();
-
+        let t0 = Instant::now();
         if concurrent {
-            // The two sides run on different threads, so neither may hold
-            // `&mut` into the shared timer buckets: each side accumulates
-            // wall/busy into its own locals, merged after the join.
-            let mut fast_wall = 0.0;
-            let mut fast_busy = 0.0;
-            let mut slow_wall = 0.0;
-            let mut slow_busy = 0.0;
-            let CoupledEsm {
-                atm,
-                land,
-                ocean,
-                hamocc,
-                land_pos,
-                pending_to_fast,
-                pending_to_slow,
-                ocean_water_received_kg,
-                timers,
-                replay,
-                ..
-            } = self;
-            let mut last_fast_out = FluxSet::new();
-            let mut last_slow_out = FluxSet::new();
-            let cfg_slow = cfg.clone();
-            let (fast_stats, slow_stats) = {
-                let g = grid.as_ref();
-                let last_fast_out = &mut last_fast_out;
-                let last_slow_out = &mut last_slow_out;
-                let fast_wall = &mut fast_wall;
-                let fast_busy = &mut fast_busy;
-                let slow_wall = &mut slow_wall;
-                let slow_busy = &mut slow_busy;
-                run_concurrent_windows(
-                    n,
-                    pending_to_fast.clone(),
-                    pending_to_slow.clone(),
-                    move |w, incoming| {
-                        let shape = WindowShape::capture(g, &cfg, land, incoming);
-                        let plan = replay.begin_window(&shape);
-                        let mut fresh = match plan {
-                            WindowPlan::Replay => None,
-                            _ => Some(WindowArena::new(g.n_cells, g.n_edges)),
-                        };
-                        let arena: &mut WindowArena = match fresh.as_mut() {
-                            Some(a) => a,
-                            None => {
-                                replay.arena_mut().expect("replay plan implies a graph")
-                            }
-                        };
-                        let out = Timers::time_with_busy(fast_wall, fast_busy, || {
-                            fast_window(
-                                atm,
-                                land,
-                                g,
-                                land_pos,
-                                &cfg,
-                                window0 + w as u64,
-                                incoming,
-                                ocean_water_received_kg,
-                                arena,
-                            )
-                        })?;
-                        if plan == WindowPlan::Record {
-                            let shape = WindowShape::capture(g, &cfg, land, incoming);
-                            replay.commit(shape, fresh.take().expect("record plan holds it"));
-                        }
-                        *last_fast_out = out.clone();
-                        Ok(out)
-                    },
-                    move |_w, incoming| {
-                        let out = Timers::time_with_busy(slow_wall, slow_busy, || {
-                            slow_window(ocean, hamocc, g, cfg_slow.oce_steps_per_window(), incoming)
-                        })?;
-                        *last_slow_out = out.clone();
-                        Ok(out)
-                    },
-                )?
-            };
-            timers.atm_land_s += fast_wall;
-            timers.atm_land_busy_s += fast_busy;
-            timers.ocean_bgc_s += slow_wall;
-            timers.ocean_bgc_busy_s += slow_busy;
-            timers.atm_wait_s += fast_stats.wait_s;
-            timers.oce_wait_s += slow_stats.wait_s;
-            let consumed = std::mem::replace(&mut self.pending_to_slow, last_fast_out);
-            self.replay.recycle(consumed);
-            let consumed = std::mem::replace(&mut self.pending_to_fast, last_slow_out);
-            self.replay.recycle(consumed);
+            self.run_windows_concurrent(n)?;
         } else {
-            for w in 0..n {
+            for _ in 0..n {
                 let incoming_fast = self.pending_to_fast.clone();
                 let incoming_slow = self.pending_to_slow.clone();
-                let shape =
-                    WindowShape::capture(grid.as_ref(), &cfg, &self.land, &incoming_fast);
-                let plan = self.replay.begin_window(&shape);
-                let mut fresh = match plan {
-                    WindowPlan::Replay => None,
-                    _ => Some(WindowArena::new(grid.n_cells, grid.n_edges)),
-                };
-                let arena: &mut WindowArena = match fresh.as_mut() {
-                    Some(a) => a,
-                    None => self.replay.arena_mut().expect("replay plan implies a graph"),
-                };
-                let fast_out = Timers::time_with_busy(
-                    &mut self.timers.atm_land_s,
-                    &mut self.timers.atm_land_busy_s,
-                    || {
-                        fast_window(
-                            &mut self.atm,
-                            &mut self.land,
-                            grid.as_ref(),
-                            &self.land_pos,
-                            &cfg,
-                            window0 + w as u64,
-                            &incoming_fast,
-                            &mut self.ocean_water_received_kg,
-                            arena,
-                        )
-                    },
-                )?;
-                let slow_out = Timers::time_with_busy(
-                    &mut self.timers.ocean_bgc_s,
-                    &mut self.timers.ocean_bgc_busy_s,
-                    || {
-                        slow_window(
-                            &mut self.ocean,
-                            &mut self.hamocc,
-                            grid.as_ref(),
-                            cfg.oce_steps_per_window(),
-                            &incoming_slow,
-                        )
-                    },
-                )?;
-                if plan == WindowPlan::Record {
-                    // Freeze the recording pass: signature captured after
-                    // the window so the land schedule is populated.
-                    let shape =
-                        WindowShape::capture(grid.as_ref(), &cfg, &self.land, &incoming_fast);
-                    self.replay.commit(shape, fresh.take().expect("record plan holds it"));
-                }
-                // The consumed bundles return their buffers to the pool.
-                let consumed = std::mem::replace(&mut self.pending_to_slow, fast_out);
-                self.replay.recycle(consumed);
-                let consumed = std::mem::replace(&mut self.pending_to_fast, slow_out);
-                self.replay.recycle(consumed);
-                self.windows_run += 1;
+                let fast_out = self.run_fast_window(self.windows_run, &incoming_fast)?;
+                let slow_out = self.run_slow_window(&incoming_slow)?;
+                self.advance_lag(fast_out, slow_out, 1);
             }
         }
-        if concurrent {
-            self.windows_run += n as u64;
-        }
-        self.timers.total_s += t0.elapsed().as_secs_f64();
-        self.timers.simulated_s += n as f64 * self.cfg.coupling_s;
+        self.timers.account_call(t0, n as f64 * self.cfg.coupling_s);
         Ok(())
     }
 
-    /// One atmosphere+land window driven externally (the supervisor's
-    /// per-side stepping). Consumes `incoming` (the slow side's previous
-    /// output), returns the fast side's fluxes for the peer. Does NOT
-    /// advance `windows_run` or the pending-flux lag state — the caller
-    /// owns the schedule.
+    /// `n` windows with ocean+BGC on their own thread. The last window's
+    /// outputs have no consumer inside the exchange, so each side keeps
+    /// its own via closure state and they become the new lag state.
+    fn run_windows_concurrent(&mut self, n: usize) -> Result<(), FluxError> {
+        let window0 = self.windows_run;
+        let to_fast = self.pending_to_fast.clone();
+        let to_slow = self.pending_to_slow.clone();
+        let mut last_fast_out = FluxSet::new();
+        let mut last_slow_out = FluxSet::new();
+        let (mut fast, mut slow) = self.split_sides();
+        let (fast_stats, slow_stats) = run_concurrent_windows(
+            n,
+            to_fast,
+            to_slow,
+            |w, incoming| {
+                let out = fast.step(window0 + w as u64, incoming)?;
+                last_fast_out = out.clone();
+                Ok(out)
+            },
+            |_w, incoming| {
+                let out = slow.step(incoming)?;
+                last_slow_out = out.clone();
+                Ok(out)
+            },
+        )?;
+        self.timers.atm_wait_s += fast_stats.wait_s;
+        self.timers.oce_wait_s += slow_stats.wait_s;
+        self.advance_lag(last_fast_out, last_slow_out, n as u64);
+        Ok(())
+    }
+
+    /// The two component groups as disjoint borrows: each side gets its
+    /// components and its own pair of timer buckets, so the concurrent
+    /// driver can hand one side to another thread.
+    fn split_sides(&mut self) -> (FastSide<'_>, SlowSide<'_>) {
+        let fast = FastSide {
+            cfg: &self.cfg,
+            grid: &self.grid,
+            atm: &mut self.atm,
+            land: &mut self.land,
+            land_pos: &self.land_pos,
+            ocean_water_received_kg: &mut self.ocean_water_received_kg,
+            replay: &mut self.replay,
+            wall_s: &mut self.timers.atm_land_s,
+            busy_s: &mut self.timers.atm_land_busy_s,
+        };
+        let slow = SlowSide {
+            cfg: &self.cfg,
+            grid: &self.grid,
+            ocean: &mut self.ocean,
+            hamocc: &mut self.hamocc,
+            wall_s: &mut self.timers.ocean_bgc_s,
+            busy_s: &mut self.timers.ocean_bgc_busy_s,
+        };
+        (fast, slow)
+    }
+
+    /// Make `fast_out`/`slow_out` the pending lag state after `windows`
+    /// completed windows; the consumed bundles return their buffers to
+    /// the replay pool.
+    fn advance_lag(&mut self, fast_out: FluxSet, slow_out: FluxSet, windows: u64) {
+        let consumed = std::mem::replace(&mut self.pending_to_slow, fast_out);
+        self.replay.recycle(consumed);
+        let consumed = std::mem::replace(&mut self.pending_to_fast, slow_out);
+        self.replay.recycle(consumed);
+        self.windows_run += windows;
+    }
+
+    /// One atmosphere+land window: consumes `incoming` (the slow side's
+    /// previous output), returns the fast side's fluxes for the peer.
+    /// Does NOT advance `windows_run` or the pending-flux lag state — the
+    /// caller (the sequential loop above, the supervisor's per-side
+    /// stepping) owns the schedule.
     pub fn run_fast_window(
         &mut self,
         window: u64,
         incoming: &FluxSet,
     ) -> Result<FluxSet, FluxError> {
-        let cfg = self.cfg.clone();
-        let grid = self.grid.clone();
-        let shape = WindowShape::capture(grid.as_ref(), &cfg, &self.land, incoming);
-        let plan = self.replay.begin_window(&shape);
-        let mut fresh = match plan {
-            WindowPlan::Replay => None,
-            _ => Some(WindowArena::new(grid.n_cells, grid.n_edges)),
-        };
-        let arena: &mut WindowArena = match fresh.as_mut() {
-            Some(a) => a,
-            None => self.replay.arena_mut().expect("replay plan implies a graph"),
-        };
-        let out = Timers::time_with_busy(
-            &mut self.timers.atm_land_s,
-            &mut self.timers.atm_land_busy_s,
-            || {
-                fast_window(
-                    &mut self.atm,
-                    &mut self.land,
-                    grid.as_ref(),
-                    &self.land_pos,
-                    &cfg,
-                    window,
-                    incoming,
-                    &mut self.ocean_water_received_kg,
-                    arena,
-                )
-            },
-        )?;
-        if plan == WindowPlan::Record {
-            let shape = WindowShape::capture(grid.as_ref(), &cfg, &self.land, incoming);
-            self.replay.commit(shape, fresh.take().expect("record plan holds it"));
-        }
-        Ok(out)
+        self.split_sides().0.step(window, incoming)
     }
 
-    /// One ocean+BGC window driven externally. Counterpart of
+    /// One ocean+BGC window. Counterpart of
     /// [`CoupledEsm::run_fast_window`].
     pub fn run_slow_window(&mut self, incoming: &FluxSet) -> Result<FluxSet, FluxError> {
-        let cfg = self.cfg.clone();
-        let grid = self.grid.clone();
-        Timers::time_with_busy(
-            &mut self.timers.ocean_bgc_s,
-            &mut self.timers.ocean_bgc_busy_s,
-            || {
-                slow_window(
-                    &mut self.ocean,
-                    &mut self.hamocc,
-                    grid.as_ref(),
-                    cfg.oce_steps_per_window(),
-                    incoming,
-                )
-            },
-        )
+        self.split_sides().1.step(incoming)
     }
 
     /// Simulated seconds since initialization.
@@ -425,423 +301,6 @@ impl CoupledEsm {
             ocean_received: self.ocean_water_received_kg,
         }
     }
-
-    /// Full model state as a checkpoint snapshot (bit-exact restart).
-    pub fn snapshot(&self) -> iosys::Snapshot {
-        let mut s = Snap(iosys::Snapshot::new());
-        self.push_fast_vars(&mut s);
-        self.push_slow_vars(&mut s);
-
-        // Coupler lag state.
-        for (prefix, fx) in [
-            ("pend_fast", &self.pending_to_fast),
-            ("pend_slow", &self.pending_to_slow),
-        ] {
-            for (name, data) in &fx.fields {
-                s.push(format!("{prefix}.{name}"), data.clone());
-            }
-        }
-        s.push(
-            "esm.scalars",
-            vec![
-                self.windows_run as f64,
-                self.ocean_water_received_kg,
-                self.atm.state.time_s,
-                self.land.state.time_s,
-                self.ocean.state.time_s,
-            ],
-        );
-        s.0
-    }
-
-    /// Atmosphere+land half of the model state (localized checkpointing:
-    /// the supervisor restores only the failed side's group).
-    pub fn snapshot_fast(&self) -> iosys::Snapshot {
-        let mut s = Snap(iosys::Snapshot::new());
-        self.push_fast_vars(&mut s);
-        s.push(
-            "fast.scalars",
-            vec![
-                self.ocean_water_received_kg,
-                self.atm.state.time_s,
-                self.land.state.time_s,
-            ],
-        );
-        s.0
-    }
-
-    /// Ocean+ice+BGC half of the model state.
-    pub fn snapshot_slow(&self) -> iosys::Snapshot {
-        let mut s = Snap(iosys::Snapshot::new());
-        self.push_slow_vars(&mut s);
-        s.push("slow.scalars", vec![self.ocean.state.time_s]);
-        s.0
-    }
-
-    fn push_fast_vars(&self, s: &mut Snap) {
-        let a = &self.atm.state;
-        for (n, f) in [
-            ("atm.delta", &a.delta),
-            ("atm.vn", &a.vn),
-            ("atm.qv", &a.qv),
-            ("atm.qc", &a.qc),
-            ("atm.co2", &a.co2),
-            ("atm.o3", &a.o3),
-        ] {
-            s.push(n, f.as_slice().to_vec());
-        }
-        for (n, f) in [
-            ("atm.precip_acc", &a.precip_acc),
-            ("atm.evap_acc", &a.evap_acc),
-            ("atm.precip_rate", &a.precip_rate),
-            ("atm.evap_rate", &a.evap_rate),
-            ("atm.t_surface", &a.t_surface),
-            ("atm.co2_flux", &a.co2_surface_flux),
-            ("atm.lmf", &a.land_moisture_flux),
-        ] {
-            s.push(n, f.as_slice().to_vec());
-        }
-        s.push(
-            "atm.is_water",
-            a.is_water.iter().map(|&b| b as u8 as f64).collect(),
-        );
-
-        let l = &self.land.state;
-        for (n, f) in [
-            ("land.t_soil", &l.t_soil),
-            ("land.w_liquid", &l.w_liquid),
-            ("land.w_ice", &l.w_ice),
-            ("land.q_organic", &l.q_organic),
-        ] {
-            s.push(n, f.as_slice().to_vec());
-        }
-        s.push("land.pools", l.pools.clone());
-        s.push("land.lai", l.lai.clone());
-        s.push("land.river_storage", l.river_storage.clone());
-        s.push("land.nee", l.nee.clone());
-        s.push("land.et", l.evapotranspiration.clone());
-        s.push("land.nee_acc", l.nee_acc.clone());
-        s.push("land.et_acc", l.et_acc.clone());
-        s.push("land.precip_acc", l.precip_acc.clone());
-        s.push("land.runoff_acc", l.runoff_acc.clone());
-    }
-
-    fn push_slow_vars(&self, s: &mut Snap) {
-        let o = &self.ocean.state;
-        for (n, f) in [
-            ("oce.vn", &o.vn),
-            ("oce.temp", &o.temp),
-            ("oce.salt", &o.salt),
-            ("oce.w", &o.w),
-        ] {
-            s.push(n, f.as_slice().to_vec());
-        }
-        for (n, f) in [
-            ("oce.eta", &o.eta),
-            ("oce.ice", &o.ice_thick),
-            ("oce.wind_stress", &o.wind_stress_n),
-            ("oce.heat_flux", &o.heat_flux),
-            ("oce.fw_flux", &o.fw_flux),
-            ("oce.pco2", &o.pco2_atm),
-            ("oce.heat_acc", &o.heat_acc),
-            ("oce.salt_acc", &o.salt_acc),
-            ("oce.ice_fw_acc", &o.ice_fw_acc),
-        ] {
-            s.push(n, f.as_slice().to_vec());
-        }
-
-        for (i, tr) in self.hamocc.tracers.iter().enumerate() {
-            s.push(format!("bgc.tr{i:02}"), tr.as_slice().to_vec());
-        }
-        for (n, f) in [
-            ("bgc.sed_p", &self.hamocc.sediment_p),
-            ("bgc.sed_c", &self.hamocc.sediment_c),
-            ("bgc.sed_si", &self.hamocc.sediment_si),
-            ("bgc.co2_flux", &self.hamocc.co2_flux_up),
-            ("bgc.co2_acc", &self.hamocc.co2_flux_acc),
-            ("bgc.sw", &self.hamocc.sw_down),
-            ("bgc.wind", &self.hamocc.wind),
-            ("bgc.pco2", &self.hamocc.pco2_atm),
-        ] {
-            s.push(n, f.as_slice().to_vec());
-        }
-    }
-
-    /// Restore from a snapshot produced by [`CoupledEsm::snapshot`] on an
-    /// identically configured instance.
-    pub fn restore(&mut self, s: &iosys::Snapshot) {
-        self.copy_all_vars(s);
-        // The trajectory jumped: a recorded window schedule may not be
-        // trusted across a rollback — the next window re-records.
-        self.replay.invalidate();
-    }
-
-    /// Restore without invalidating the recorded window graph. For the
-    /// audit-replay detector only: the caller guarantees the snapshot
-    /// comes from the *same* trajectory and shape (it re-executes the
-    /// very windows the graph recorded), so the frozen schedule stays
-    /// valid and the re-run draws its buffers from the arena pool
-    /// instead of allocating scratch.
-    pub fn restore_same_shape(&mut self, s: &iosys::Snapshot) {
-        self.copy_all_vars(s);
-    }
-
-    fn copy_all_vars(&mut self, s: &iosys::Snapshot) {
-        self.copy_fast_vars(s);
-        self.copy_slow_vars(s);
-
-        for (prefix, fx) in [
-            ("pend_fast", &mut self.pending_to_fast),
-            ("pend_slow", &mut self.pending_to_slow),
-        ] {
-            for (name, data) in fx.fields.iter_mut() {
-                data.copy_from_slice(s.expect(&format!("{prefix}.{name}")));
-            }
-        }
-        let scalars = s.expect("esm.scalars");
-        self.windows_run = scalars[0] as u64;
-        self.ocean_water_received_kg = scalars[1];
-        self.atm.state.time_s = scalars[2];
-        self.land.state.time_s = scalars[3];
-        self.ocean.state.time_s = scalars[4];
-    }
-
-    /// Restore only the atmosphere+land group from a
-    /// [`CoupledEsm::snapshot_fast`] snapshot. Ocean, BGC, and the
-    /// coupler lag state are untouched.
-    pub fn restore_fast(&mut self, s: &iosys::Snapshot) {
-        self.copy_fast_vars(s);
-        let scalars = s.expect("fast.scalars");
-        self.ocean_water_received_kg = scalars[0];
-        self.atm.state.time_s = scalars[1];
-        self.land.state.time_s = scalars[2];
-        self.replay.invalidate();
-    }
-
-    /// Restore only the ocean+ice+BGC group from a
-    /// [`CoupledEsm::snapshot_slow`] snapshot.
-    pub fn restore_slow(&mut self, s: &iosys::Snapshot) {
-        self.copy_slow_vars(s);
-        let scalars = s.expect("slow.scalars");
-        self.ocean.state.time_s = scalars[0];
-        self.replay.invalidate();
-    }
-
-    fn copy_fast_vars(&mut self, s: &iosys::Snapshot) {
-        let copy3 = |f: &mut icongrid::Field3, v: &[f64]| f.as_mut_slice().copy_from_slice(v);
-        let copy2 = |f: &mut Field2, v: &[f64]| f.as_mut_slice().copy_from_slice(v);
-
-        let a = &mut self.atm.state;
-        copy3(&mut a.delta, s.expect("atm.delta"));
-        copy3(&mut a.vn, s.expect("atm.vn"));
-        copy3(&mut a.qv, s.expect("atm.qv"));
-        copy3(&mut a.qc, s.expect("atm.qc"));
-        copy3(&mut a.co2, s.expect("atm.co2"));
-        copy3(&mut a.o3, s.expect("atm.o3"));
-        copy2(&mut a.precip_acc, s.expect("atm.precip_acc"));
-        copy2(&mut a.evap_acc, s.expect("atm.evap_acc"));
-        copy2(&mut a.precip_rate, s.expect("atm.precip_rate"));
-        copy2(&mut a.evap_rate, s.expect("atm.evap_rate"));
-        copy2(&mut a.t_surface, s.expect("atm.t_surface"));
-        copy2(&mut a.co2_surface_flux, s.expect("atm.co2_flux"));
-        copy2(&mut a.land_moisture_flux, s.expect("atm.lmf"));
-        for (b, v) in a.is_water.iter_mut().zip(s.expect("atm.is_water")) {
-            *b = *v != 0.0;
-        }
-
-        let l = &mut self.land.state;
-        copy3(&mut l.t_soil, s.expect("land.t_soil"));
-        copy3(&mut l.w_liquid, s.expect("land.w_liquid"));
-        copy3(&mut l.w_ice, s.expect("land.w_ice"));
-        copy3(&mut l.q_organic, s.expect("land.q_organic"));
-        l.pools.copy_from_slice(s.expect("land.pools"));
-        l.lai.copy_from_slice(s.expect("land.lai"));
-        l.river_storage.copy_from_slice(s.expect("land.river_storage"));
-        l.nee.copy_from_slice(s.expect("land.nee"));
-        l.evapotranspiration.copy_from_slice(s.expect("land.et"));
-        l.nee_acc.copy_from_slice(s.expect("land.nee_acc"));
-        l.et_acc.copy_from_slice(s.expect("land.et_acc"));
-        l.precip_acc.copy_from_slice(s.expect("land.precip_acc"));
-        l.runoff_acc.copy_from_slice(s.expect("land.runoff_acc"));
-    }
-
-    fn copy_slow_vars(&mut self, s: &iosys::Snapshot) {
-        let copy3 = |f: &mut icongrid::Field3, v: &[f64]| f.as_mut_slice().copy_from_slice(v);
-        let copy2 = |f: &mut Field2, v: &[f64]| f.as_mut_slice().copy_from_slice(v);
-
-        let o = &mut self.ocean.state;
-        copy3(&mut o.vn, s.expect("oce.vn"));
-        copy3(&mut o.temp, s.expect("oce.temp"));
-        copy3(&mut o.salt, s.expect("oce.salt"));
-        copy3(&mut o.w, s.expect("oce.w"));
-        copy2(&mut o.eta, s.expect("oce.eta"));
-        copy2(&mut o.ice_thick, s.expect("oce.ice"));
-        copy2(&mut o.wind_stress_n, s.expect("oce.wind_stress"));
-        copy2(&mut o.heat_flux, s.expect("oce.heat_flux"));
-        copy2(&mut o.fw_flux, s.expect("oce.fw_flux"));
-        copy2(&mut o.pco2_atm, s.expect("oce.pco2"));
-        copy2(&mut o.heat_acc, s.expect("oce.heat_acc"));
-        copy2(&mut o.salt_acc, s.expect("oce.salt_acc"));
-        copy2(&mut o.ice_fw_acc, s.expect("oce.ice_fw_acc"));
-
-        for (i, tr) in self.hamocc.tracers.iter_mut().enumerate() {
-            copy3(tr, s.expect(&format!("bgc.tr{i:02}")));
-        }
-        copy2(&mut self.hamocc.sediment_p, s.expect("bgc.sed_p"));
-        copy2(&mut self.hamocc.sediment_c, s.expect("bgc.sed_c"));
-        copy2(&mut self.hamocc.sediment_si, s.expect("bgc.sed_si"));
-        copy2(&mut self.hamocc.co2_flux_up, s.expect("bgc.co2_flux"));
-        copy2(&mut self.hamocc.co2_flux_acc, s.expect("bgc.co2_acc"));
-        copy2(&mut self.hamocc.sw_down, s.expect("bgc.sw"));
-        copy2(&mut self.hamocc.wind, s.expect("bgc.wind"));
-        copy2(&mut self.hamocc.pco2_atm, s.expect("bgc.pco2"));
-    }
-
-    /// Snapshot variables an SDC fault plan may flip bits in: every f64
-    /// state buffer. Excluded: `atm.is_water` (a bool mask encoded as
-    /// f64 — a mantissa flip there is not a representable state) and
-    /// `esm.scalars` (scheduling metadata, not model state).
-    pub fn flippable_var_names(&self) -> Vec<String> {
-        self.snapshot()
-            .vars
-            .into_iter()
-            .map(|(n, _)| n)
-            .filter(|n| n != "atm.is_water" && n != "esm.scalars")
-            .collect()
-    }
-
-    /// Mutable access to a named snapshot variable's live buffer (the
-    /// SDC injection point). `None` for unknown names and for the
-    /// non-f64 variables excluded from [`CoupledEsm::flippable_var_names`].
-    pub fn state_var_mut(&mut self, name: &str) -> Option<&mut [f64]> {
-        if let Some(field) = name.strip_prefix("pend_fast.") {
-            return self
-                .pending_to_fast
-                .fields
-                .iter_mut()
-                .find(|(n, _)| *n == field)
-                .map(|(_, d)| d.as_mut_slice());
-        }
-        if let Some(field) = name.strip_prefix("pend_slow.") {
-            return self
-                .pending_to_slow
-                .fields
-                .iter_mut()
-                .find(|(n, _)| *n == field)
-                .map(|(_, d)| d.as_mut_slice());
-        }
-        if let Some(idx) = name.strip_prefix("bgc.tr") {
-            if let Ok(i) = idx.parse::<usize>() {
-                return self.hamocc.tracers.get_mut(i).map(|t| t.as_mut_slice());
-            }
-        }
-        let a = &mut self.atm.state;
-        let l = &mut self.land.state;
-        let o = &mut self.ocean.state;
-        let b = &mut self.hamocc;
-        Some(match name {
-            "atm.delta" => a.delta.as_mut_slice(),
-            "atm.vn" => a.vn.as_mut_slice(),
-            "atm.qv" => a.qv.as_mut_slice(),
-            "atm.qc" => a.qc.as_mut_slice(),
-            "atm.co2" => a.co2.as_mut_slice(),
-            "atm.o3" => a.o3.as_mut_slice(),
-            "atm.precip_acc" => a.precip_acc.as_mut_slice(),
-            "atm.evap_acc" => a.evap_acc.as_mut_slice(),
-            "atm.precip_rate" => a.precip_rate.as_mut_slice(),
-            "atm.evap_rate" => a.evap_rate.as_mut_slice(),
-            "atm.t_surface" => a.t_surface.as_mut_slice(),
-            "atm.co2_flux" => a.co2_surface_flux.as_mut_slice(),
-            "atm.lmf" => a.land_moisture_flux.as_mut_slice(),
-            "land.t_soil" => l.t_soil.as_mut_slice(),
-            "land.w_liquid" => l.w_liquid.as_mut_slice(),
-            "land.w_ice" => l.w_ice.as_mut_slice(),
-            "land.q_organic" => l.q_organic.as_mut_slice(),
-            "land.pools" => &mut l.pools,
-            "land.lai" => &mut l.lai,
-            "land.river_storage" => &mut l.river_storage,
-            "land.nee" => &mut l.nee,
-            "land.et" => &mut l.evapotranspiration,
-            "land.nee_acc" => &mut l.nee_acc,
-            "land.et_acc" => &mut l.et_acc,
-            "land.precip_acc" => &mut l.precip_acc,
-            "land.runoff_acc" => &mut l.runoff_acc,
-            "oce.vn" => o.vn.as_mut_slice(),
-            "oce.temp" => o.temp.as_mut_slice(),
-            "oce.salt" => o.salt.as_mut_slice(),
-            "oce.w" => o.w.as_mut_slice(),
-            "oce.eta" => o.eta.as_mut_slice(),
-            "oce.ice" => o.ice_thick.as_mut_slice(),
-            "oce.wind_stress" => o.wind_stress_n.as_mut_slice(),
-            "oce.heat_flux" => o.heat_flux.as_mut_slice(),
-            "oce.fw_flux" => o.fw_flux.as_mut_slice(),
-            "oce.pco2" => o.pco2_atm.as_mut_slice(),
-            "oce.heat_acc" => o.heat_acc.as_mut_slice(),
-            "oce.salt_acc" => o.salt_acc.as_mut_slice(),
-            "oce.ice_fw_acc" => o.ice_fw_acc.as_mut_slice(),
-            "bgc.sed_p" => b.sediment_p.as_mut_slice(),
-            "bgc.sed_c" => b.sediment_c.as_mut_slice(),
-            "bgc.sed_si" => b.sediment_si.as_mut_slice(),
-            "bgc.co2_flux" => b.co2_flux_up.as_mut_slice(),
-            "bgc.co2_acc" => b.co2_flux_acc.as_mut_slice(),
-            "bgc.sw" => b.sw_down.as_mut_slice(),
-            "bgc.wind" => b.wind.as_mut_slice(),
-            "bgc.pco2" => b.pco2_atm.as_mut_slice(),
-            _ => return None,
-        })
-    }
-
-    /// The static buffers: read by every window, written by none (the
-    /// recorded window graph's write-set proves the analogous DSL fields
-    /// untouched). They are outside the snapshot precisely *because*
-    /// they never change — which also makes them the canonical target
-    /// for silent memory corruption, caught by the quiescence-checksum
-    /// detector ([`crate::sdc::QuiescenceReference`]).
-    pub const QUIESCENT_BUFFERS: [&'static str; 5] = [
-        "static.z_surface",
-        "static.layer_temp",
-        "static.elevation",
-        "static.bathymetry",
-        "static.oce_dz",
-    ];
-
-    /// Read access to a quiescent (static) buffer by registry name.
-    pub fn quiescent_buffer(&self, name: &str) -> Option<&[f64]> {
-        Some(match name {
-            "static.z_surface" => self.atm.z_surface.as_slice(),
-            "static.layer_temp" => &self.atm.params.layer_temp,
-            "static.elevation" => &self.mask.elevation,
-            "static.bathymetry" => &self.mask.bathymetry,
-            "static.oce_dz" => &self.ocean.params.dz,
-            _ => return None,
-        })
-    }
-
-    /// Mutable access to a quiescent buffer (the SDC injection point for
-    /// [`crate::sdc::SdcMode::Quiescent`] and the repair path).
-    pub fn quiescent_buffer_mut(&mut self, name: &str) -> Option<&mut [f64]> {
-        Some(match name {
-            "static.z_surface" => self.atm.z_surface.as_mut_slice(),
-            "static.layer_temp" => &mut self.atm.params.layer_temp,
-            "static.elevation" => &mut self.mask.elevation,
-            "static.bathymetry" => &mut self.mask.bathymetry,
-            "static.oce_dz" => &mut self.ocean.params.dz,
-            _ => return None,
-        })
-    }
-}
-
-/// The variable names pushed by the snapshot builders are distinct by
-/// construction, so the duplicate check in `iosys::Snapshot::push` cannot
-/// fire; this wrapper keeps the builders ergonomic while iosys reports
-/// real errors to callers that assemble snapshots dynamically.
-struct Snap(iosys::Snapshot);
-impl Snap {
-    fn push(&mut self, name: impl Into<String>, data: Vec<f64>) {
-        self.0
-            .push(name, data)
-            .expect("checkpoint variable names are unique");
-    }
 }
 
 /// Near-surface air temperature diagnostic (K): the fixed bottom-layer
@@ -855,13 +314,15 @@ fn t_air_k(atm: &Atmosphere<Grid>, g: &Grid, c: usize) -> f64 {
     atm.params.layer_temp[kb] + 14.0 - 38.0 * sinlat * sinlat + 60.0 * anomaly
 }
 
+/// The slow side's fluxes for the atmosphere, packed from its current
+/// state: the pre-run lag state (a fresh HAMOCC has outgassed nothing
+/// yet) and the output of every ocean window.
 fn initial_to_fast(ocean: &Ocean<Grid>, hamocc: &Hamocc<Grid>) -> FluxSet {
     let n = ocean.grid.n_cells;
     let mut f = FluxSet::new();
     f.insert("sst", (0..n).map(|c| ocean.sst(c)).collect());
     f.insert("ice_conc", (0..n).map(|c| ocean.ice_concentration(c)).collect());
-    f.insert("co2_flux_up", vec![0.0; n]);
-    let _ = hamocc;
+    f.insert("co2_flux_up", hamocc.co2_flux_up.as_slice().to_vec());
     f
 }
 
@@ -874,6 +335,76 @@ fn initial_to_slow(g: &Grid) -> FluxSet {
     f.insert("sw_down", vec![200.0; g.n_cells]);
     f.insert("wind", vec![5.0; g.n_cells]);
     f
+}
+
+/// The atmosphere+land group's borrows of a [`CoupledEsm`].
+struct FastSide<'a> {
+    cfg: &'a EsmConfig,
+    grid: &'a Grid,
+    atm: &'a mut Atmosphere<Grid>,
+    land: &'a mut LandModel<Grid>,
+    land_pos: &'a [i64],
+    ocean_water_received_kg: &'a mut f64,
+    replay: &'a mut ReplayState,
+    wall_s: &'a mut f64,
+    busy_s: &'a mut f64,
+}
+
+impl FastSide<'_> {
+    /// One record/replay-wrapped fast window (see [`crate::replay`]) —
+    /// the single place a window is planned, given its arena, timed, and
+    /// committed, under every driver.
+    fn step(&mut self, window: u64, incoming: &FluxSet) -> Result<FluxSet, FluxError> {
+        let shape = WindowShape::capture(self.grid, self.cfg, self.land, incoming);
+        let plan = self.replay.begin_window(&shape);
+        let mut fresh = match plan {
+            WindowPlan::Replay => None,
+            _ => Some(WindowArena::new(self.grid.n_cells, self.grid.n_edges)),
+        };
+        let arena: &mut WindowArena = match fresh.as_mut() {
+            Some(a) => a,
+            None => self.replay.arena_mut().expect("replay plan implies a graph"),
+        };
+        let out = Timers::time_with_busy(self.wall_s, self.busy_s, || {
+            fast_window(
+                self.atm,
+                self.land,
+                self.grid,
+                self.land_pos,
+                self.cfg,
+                window,
+                incoming,
+                self.ocean_water_received_kg,
+                arena,
+            )
+        })?;
+        if plan == WindowPlan::Record {
+            // Freeze the recording pass: signature captured after the
+            // window so the land schedule is populated.
+            let shape = WindowShape::capture(self.grid, self.cfg, self.land, incoming);
+            self.replay.commit(shape, fresh.take().expect("record plan holds it"));
+        }
+        Ok(out)
+    }
+}
+
+/// The ocean+ice+BGC group's borrows of a [`CoupledEsm`].
+struct SlowSide<'a> {
+    cfg: &'a EsmConfig,
+    grid: &'a Grid,
+    ocean: &'a mut Ocean<Grid>,
+    hamocc: &'a mut Hamocc<Grid>,
+    wall_s: &'a mut f64,
+    busy_s: &'a mut f64,
+}
+
+impl SlowSide<'_> {
+    fn step(&mut self, incoming: &FluxSet) -> Result<FluxSet, FluxError> {
+        let steps = self.cfg.oce_steps_per_window();
+        Timers::time_with_busy(self.wall_s, self.busy_s, || {
+            slow_window(self.ocean, self.hamocc, self.grid, steps, incoming)
+        })
+    }
 }
 
 /// One atmosphere+land coupling window. All window-internal buffers come
@@ -1031,14 +562,7 @@ fn slow_window(
         hamocc.step(&NoExchange, ocean);
     }
 
-    let mut out = FluxSet::new();
-    out.insert("sst", (0..n).map(|c| ocean.sst(c)).collect());
-    out.insert(
-        "ice_conc",
-        (0..n).map(|c| ocean.ice_concentration(c)).collect(),
-    );
-    out.insert("co2_flux_up", hamocc.co2_flux_up.as_slice().to_vec());
-    Ok(out)
+    Ok(initial_to_fast(ocean, hamocc))
 }
 
 #[cfg(test)]

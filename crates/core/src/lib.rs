@@ -10,6 +10,8 @@
 //!   either sequentially or **concurrently** (ocean+BGC on their own
 //!   thread — the structure that lets the paper run the ocean "for free"
 //!   on the Grace CPUs);
+//! * [`state`] — the one ordered table of model-state buffers behind
+//!   snapshots, restores, SDC injection and the per-side health probe;
 //! * [`resilience`] — fault-absorbing driver loop: checkpoint ring,
 //!   distributed blow-up guard over fault-injectable `mpisim` messages,
 //!   and rollback-replay (`run_windows_resilient`);
@@ -43,6 +45,7 @@ pub mod replay;
 pub mod resilience;
 pub mod sdc;
 pub mod solar;
+pub mod state;
 pub mod supervisor;
 pub mod timers;
 

@@ -129,35 +129,30 @@ impl WindowArena {
         self.sw_sum.fill(0.0);
     }
 
-    /// A cell-sized buffer filled with `init`: recycled when the pool has
+    /// A `len`-sized buffer filled with `init`: recycled when `pool` has
     /// one, freshly allocated (and counted) otherwise.
-    pub(crate) fn take_cells(&mut self, init: f64) -> Vec<f64> {
-        match self.cell_pool.pop() {
+    fn take(pool: &mut Vec<Vec<f64>>, len: usize, init: f64, allocations: &mut u64) -> Vec<f64> {
+        match pool.pop() {
             Some(mut v) => {
-                debug_assert_eq!(v.len(), self.n_cells);
+                debug_assert_eq!(v.len(), len);
                 v.fill(init);
                 v
             }
             None => {
-                self.allocations += 1;
-                vec![init; self.n_cells]
+                *allocations += 1;
+                vec![init; len]
             }
         }
     }
 
-    /// Edge-sized counterpart of [`WindowArena::take_cells`].
+    /// A cell-sized buffer filled with `init`.
+    pub(crate) fn take_cells(&mut self, init: f64) -> Vec<f64> {
+        Self::take(&mut self.cell_pool, self.n_cells, init, &mut self.allocations)
+    }
+
+    /// An edge-sized buffer filled with `init`.
     pub(crate) fn take_edges(&mut self, init: f64) -> Vec<f64> {
-        match self.edge_pool.pop() {
-            Some(mut v) => {
-                debug_assert_eq!(v.len(), self.n_edges);
-                v.fill(init);
-                v
-            }
-            None => {
-                self.allocations += 1;
-                vec![init; self.n_edges]
-            }
-        }
+        Self::take(&mut self.edge_pool, self.n_edges, init, &mut self.allocations)
     }
 
     /// Return a consumed flux bundle's buffers to the pool. Buffers whose

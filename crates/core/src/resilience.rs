@@ -32,7 +32,10 @@
 
 use crate::esm::CoupledEsm;
 use crate::health::{HealthError, HealthEvent};
+use crate::replay::WindowReplayStats;
 use crate::sdc::{self, QuiescenceReference, StateFaultPlan};
+use crate::state;
+use crate::supervisor::Side;
 use coupler::{FluxError, QuarantineEvent};
 use iosys::{
     CheckpointRing, FullPolicy, OutputPolicy, OutputRequest, OutputServer, RealFs, Reduction,
@@ -268,9 +271,10 @@ pub struct ResilienceReport {
     pub protocol_violations: Vec<String>,
 }
 
+/// The report plumbing both fault-tolerant drivers share.
 impl ResilienceReport {
     /// Fold one round's conformance verdict into the protocol counters.
-    fn absorb_conformance(
+    pub(crate) fn absorb_conformance(
         &mut self,
         outcome: Result<mpisim::ConformSummary, mpisim::ProtocolViolation>,
     ) {
@@ -280,6 +284,55 @@ impl ResilienceReport {
             Err(v) => self.protocol_violations.push(v.to_string()),
         }
     }
+
+    /// Record what the window record/replay layer did during the run:
+    /// its lifetime counters now, minus `before` (taken at run start).
+    pub(crate) fn absorb_graph_stats(&mut self, before: WindowReplayStats, now: WindowReplayStats) {
+        self.graph_recordings = now.recorded_windows - before.recorded_windows;
+        self.graph_replays = now.replayed_windows - before.replayed_windows;
+        self.graph_invalidations = now.invalidations - before.invalidations;
+        self.graph_rerecords = now.rerecords - before.rerecords;
+    }
+
+    /// Write one checkpoint generation. A write that fails beyond the
+    /// ring's own retries is a recorded degraded event (`None`), not a
+    /// run killer: the ring still holds the previous intact generation,
+    /// so a later recovery just falls back one further.
+    pub(crate) fn write_generation(
+        &mut self,
+        ring: &mut CheckpointRing,
+        snap: &Snapshot,
+        n_files: usize,
+        what: &str,
+    ) -> Option<u64> {
+        match ring.write(snap, n_files) {
+            Ok(generation) => {
+                self.checkpoints_written += 1;
+                Some(generation)
+            }
+            Err(e) => {
+                self.checkpoint_failures += 1;
+                self.faults_absorbed
+                    .push(format!("{what} checkpoint write failed ({e})"));
+                None
+            }
+        }
+    }
+}
+
+/// Open a checkpoint ring on `storage` (`None`: the real file system)
+/// with the configured write-retry policy.
+pub(crate) fn open_ring(
+    storage: &Option<Arc<dyn Storage>>,
+    dir: &Path,
+    stem: &str,
+    keep_generations: usize,
+    retry: RetryPolicy,
+) -> Result<CheckpointRing, RestartError> {
+    let storage = storage.clone().unwrap_or_else(RealFs::shared);
+    let mut ring = CheckpointRing::new_with(storage, dir, stem, keep_generations)?;
+    ring.set_retry(retry);
+    Ok(ring)
 }
 
 /// Why one guard round failed (internal; mapped onto report strings and
@@ -308,8 +361,7 @@ impl std::fmt::Display for GuardFail {
 /// physical range from `coupler::fluxreg`; every other variable keeps
 /// the global `max_abs` scalar as the final backstop.
 fn guard_bounds(name: &str, max_abs: f64) -> (f64, f64) {
-    name.strip_prefix("pend_fast.")
-        .or_else(|| name.strip_prefix("pend_slow."))
+    state::lag_flux(name)
         .and_then(coupler::fluxreg::bounds)
         .unwrap_or((-max_abs, max_abs))
 }
@@ -337,21 +389,11 @@ fn scan_shard(
     [0.0, 0.0, 0.0]
 }
 
-/// One distributed guard round over `guard_ranks` mpisim rank-threads.
-#[cfg(test)]
+/// One distributed guard round over `guard_ranks` mpisim rank-threads:
+/// the guard verdict, plus the round's trace-conformance verdict against
+/// the verified [`crate::protocolspec::guard_spec`] — the live driver is
+/// pinned to the spec the static verifier proved clean.
 fn distributed_guard(
-    snapshot: &Snapshot,
-    window: u64,
-    rcfg: &ResilienceConfig,
-    plan: Option<&Arc<FaultPlan>>,
-) -> Result<(), GuardFail> {
-    distributed_guard_checked(snapshot, window, rcfg, plan).0
-}
-
-/// [`distributed_guard`] plus the round's trace-conformance verdict
-/// against the verified [`crate::protocolspec::guard_spec`] — the live
-/// driver is pinned to the spec the static verifier proved clean.
-fn distributed_guard_checked(
     snapshot: &Snapshot,
     window: u64,
     rcfg: &ResilienceConfig,
@@ -434,25 +476,11 @@ fn distributed_guard_checked(
 
     // Priority: a killed rank explains the timeouts it caused; a blow-up
     // explains an abort verdict; otherwise report the first comm error.
-    let mut first_comm = None;
-    for r in &results {
-        if let Err(GuardFail::Killed(rank)) = r {
-            return (Err(GuardFail::Killed(*rank)), conformance);
-        }
-        if let Err(GuardFail::BlowUp { .. }) = r {
-            return (Err(r.as_ref().unwrap_err().clone()), conformance);
-        }
-        if first_comm.is_none() {
-            if let Err(GuardFail::Comm(_)) = r {
-                first_comm = Some(r.as_ref().unwrap_err().clone());
-            }
-        }
-    }
-    let verdict = match first_comm {
-        Some(e) => Err(e),
-        None => Ok(()),
-    };
-    (verdict, conformance)
+    let errors = || results.iter().filter_map(|r| r.as_ref().err());
+    let cause = errors()
+        .find(|e| !matches!(e, GuardFail::Comm(_)))
+        .or_else(|| errors().next());
+    (cause.cloned().map_or(Ok(()), Err), conformance)
 }
 
 /// One window-level failure: a guard verdict or an SDC detection. All
@@ -475,13 +503,7 @@ impl std::fmt::Display for WindowFault {
             WindowFault::Checksum { buffers } => {
                 let what: Vec<String> = buffers
                     .iter()
-                    .map(|b| {
-                        let side = match sdc::quiescent_side(b) {
-                            crate::supervisor::Side::Fast => "fast",
-                            crate::supervisor::Side::Slow => "slow",
-                        };
-                        format!("{b} ({side} side)")
-                    })
+                    .map(|b| format!("{b} ({} side)", sdc::quiescent_side(b).stem()))
                     .collect();
                 write!(f, "quiescent checksum mismatch: {}", what.join(", "))
             }
@@ -495,12 +517,10 @@ impl std::fmt::Display for WindowFault {
 /// Which component group owns a snapshot variable (localization in the
 /// report strings).
 fn side_of_var(name: &str) -> &'static str {
-    if name.starts_with("atm.") || name.starts_with("land.") {
-        "fast side"
-    } else if name.starts_with("oce.") || name.starts_with("bgc.") {
-        "slow side"
-    } else {
-        "coupler lag state"
+    match state::lookup(name).and_then(|v| v.side) {
+        Some(Side::Fast) => "fast side",
+        Some(Side::Slow) => "slow side",
+        None => "coupler lag state",
     }
 }
 
@@ -529,13 +549,7 @@ fn delta_suspicion(prev: &Snapshot, cur: &Snapshot, frac: f64) -> Option<String>
         return None;
     }
     for ((name, a), (_, b)) in prev.vars.iter().zip(&cur.vars) {
-        let Some(flux) = name
-            .strip_prefix("pend_fast.")
-            .or_else(|| name.strip_prefix("pend_slow."))
-        else {
-            continue;
-        };
-        let Some(span) = coupler::fluxreg::span(flux) else {
+        let Some(span) = state::lag_flux(name).and_then(coupler::fluxreg::span) else {
             continue;
         };
         let limit = frac * span;
@@ -573,16 +587,26 @@ impl CoupledEsm {
         let mut report = ResilienceReport::default();
         let w0 = self.windows_run();
         let graph0 = self.replay.stats;
-        let storage = rcfg.storage.clone().unwrap_or_else(RealFs::shared);
-        let mut ring =
-            CheckpointRing::new_with(storage.clone(), dir, "restart", rcfg.keep_generations)?;
-        ring.set_retry(rcfg.checkpoint_retry);
+        let keep = rcfg.keep_generations;
+        let mut ring = open_ring(&rcfg.storage, dir, "restart", keep, rcfg.checkpoint_retry)?;
+        // Write a generation (a failed write is degraded, not fatal); the
+        // chaos hook may then damage it on disk.
+        let checkpoint = |report: &mut ResilienceReport,
+                          ring: &mut CheckpointRing,
+                          snap: &Snapshot,
+                          what: &str| {
+            let generation = report.write_generation(ring, snap, rcfg.n_files, what);
+            if let Some(g) = generation.filter(|g| rcfg.corrupt_generations.contains(g)) {
+                corrupt_generation_on_disk(dir, g)?;
+            }
+            Ok::<_, RestartError>(generation)
+        };
 
         // Diagnostics ride a shedding output server: they must never
         // block the integration or kill the run.
         let mut diag: Option<OutputServer> = if rcfg.diagnostics_every > 0 {
             match OutputServer::spawn_with(
-                storage.clone(),
+                rcfg.storage.clone().unwrap_or_else(RealFs::shared),
                 dir.join("diag"),
                 rcfg.output_queue,
                 OutputPolicy {
@@ -606,24 +630,10 @@ impl CoupledEsm {
         let mut max_posted = 0u64;
 
         // Generation 1: the starting state, so the very first window can
-        // roll back. A failed write is degraded, not fatal — the run just
-        // has no rollback point until the next checkpoint lands.
-        let mut newest_gen = 0u64;
-        match ring.write(&self.snapshot(), rcfg.n_files) {
-            Ok(g) => {
-                newest_gen = g;
-                report.checkpoints_written += 1;
-                if rcfg.corrupt_generations.contains(&newest_gen) {
-                    corrupt_generation_on_disk(dir, newest_gen)?;
-                }
-            }
-            Err(e) => {
-                report.checkpoint_failures += 1;
-                report
-                    .faults_absorbed
-                    .push(format!("initial checkpoint write failed ({e})"));
-            }
-        }
+        // roll back. Should the write fail, the run just has no rollback
+        // point until the next checkpoint lands.
+        let mut newest_gen = checkpoint(&mut report, &mut ring, &self.snapshot(), "initial")?
+            .unwrap_or(0);
 
         // SDC detector state (audit_every > 0). The quiescence reference
         // and the first verified snapshot are captured before any flip
@@ -642,11 +652,13 @@ impl CoupledEsm {
         let mut attempts = 0u32;
         while done < n_windows {
             let window = done + 1;
+            let checkpoint_due =
+                window.is_multiple_of(rcfg.checkpoint_every) || window == n_windows;
             if let Some(p) = &rcfg.sdc {
                 sdc::apply_due_flips(self, p, window);
             }
-            self.run_windows(1, concurrent)
-                .map_err(|error| EsmError::Flux { window, error })?;
+            let flux_err = |error| EsmError::Flux { window, error };
+            self.run_windows(1, concurrent).map_err(flux_err)?;
             let snap = self.snapshot();
 
             // Detector 1: distributed physics guard (per-flux bounds +
@@ -654,7 +666,7 @@ impl CoupledEsm {
             // round's message trace is checked against the verified
             // guard protocol spec as it completes.
             let (verdict, conformance) =
-                distributed_guard_checked(&snap, window, rcfg, plan.as_ref());
+                distributed_guard(&snap, window, rcfg, plan.as_ref());
             report.absorb_conformance(conformance);
             let mut fault: Option<WindowFault> = verdict.err().map(WindowFault::Guard);
 
@@ -685,16 +697,13 @@ impl CoupledEsm {
             let mut audit_passed = false;
             if fault.is_none() && sdc_on {
                 if let Some(base) = &verified {
-                    let checkpoint_due =
-                        window.is_multiple_of(rcfg.checkpoint_every) || window == n_windows;
                     let scheduled = window.is_multiple_of(rcfg.audit_every);
                     let suspicion = delta_suspicion(base, &snap, rcfg.delta_frac);
                     if scheduled || checkpoint_due || suspicion.is_some() {
                         report.audit_replays += 1;
                         let span = window - verified_at;
                         self.restore_same_shape(base);
-                        self.run_windows(span as usize, concurrent)
-                            .map_err(|error| EsmError::Flux { window, error })?;
+                        self.run_windows(span as usize, concurrent).map_err(flux_err)?;
                         match first_bitwise_mismatch(&self.snapshot(), &snap) {
                             None => audit_passed = true,
                             Some(var) => fault = Some(WindowFault::Audit { var }),
@@ -711,29 +720,25 @@ impl CoupledEsm {
             // tests. An unexplained guard blow-up stays what it always
             // was: a genuine model failure.
             if let Some(f) = &fault {
-                let injected = rcfg.sdc.as_ref().map(|p| p.injected()).unwrap_or(0);
+                let injected = sdc::injected(&rcfg.sdc);
                 let outstanding = injected > sdc_attributed;
+                let mut attribute = |detections: &mut u64| {
+                    *detections += 1;
+                    sdc_attributed = injected;
+                };
                 match f {
                     WindowFault::Guard(GuardFail::BlowUp { .. }) if outstanding => {
-                        report.sdc_detected_bounds += 1;
-                        sdc_attributed = injected;
+                        attribute(&mut report.sdc_detected_bounds)
                     }
                     WindowFault::Guard(_) => {}
-                    WindowFault::Checksum { .. } => {
-                        if outstanding {
-                            report.sdc_detected_checksum += 1;
-                            sdc_attributed = injected;
-                        } else {
-                            report.sdc_false_positives += 1;
-                        }
+                    WindowFault::Checksum { .. } if outstanding => {
+                        attribute(&mut report.sdc_detected_checksum)
                     }
-                    WindowFault::Audit { .. } => {
-                        if outstanding {
-                            report.sdc_detected_audit += 1;
-                            sdc_attributed = injected;
-                        } else {
-                            report.sdc_false_positives += 1;
-                        }
+                    WindowFault::Audit { .. } if outstanding => {
+                        attribute(&mut report.sdc_detected_audit)
+                    }
+                    WindowFault::Checksum { .. } | WindowFault::Audit { .. } => {
+                        report.sdc_false_positives += 1
                     }
                 }
             }
@@ -742,25 +747,10 @@ impl CoupledEsm {
                 None => {
                     done += 1;
                     attempts = 0;
-                    if done.is_multiple_of(rcfg.checkpoint_every) || done == n_windows {
-                        match ring.write(&snap, rcfg.n_files) {
-                            Ok(g) => {
-                                newest_gen = g;
-                                report.checkpoints_written += 1;
-                                if rcfg.corrupt_generations.contains(&newest_gen) {
-                                    corrupt_generation_on_disk(dir, newest_gen)?;
-                                }
-                            }
-                            Err(e) => {
-                                // Degraded, not fatal: the ring still holds
-                                // the previous intact generation, so a later
-                                // rollback just falls back one further.
-                                report.checkpoint_failures += 1;
-                                report.faults_absorbed.push(format!(
-                                    "window {done}: checkpoint write failed ({e}); \
-                                     continuing on generation {newest_gen}"
-                                ));
-                            }
+                    if checkpoint_due {
+                        let what = format!("window {done}:");
+                        if let Some(g) = checkpoint(&mut report, &mut ring, &snap, &what)? {
+                            newest_gen = g;
                         }
                     }
                     if rcfg.diagnostics_every > 0
@@ -848,14 +838,8 @@ impl CoupledEsm {
         report.windows_run = done;
         report.final_generation = newest_gen;
         report.checkpoint_retries = ring.io_retries();
-        if let Some(p) = &rcfg.sdc {
-            report.sdc_injected = p.injected();
-        }
-        let graph = self.replay.stats;
-        report.graph_recordings = graph.recorded_windows - graph0.recorded_windows;
-        report.graph_replays = graph.replayed_windows - graph0.replayed_windows;
-        report.graph_invalidations = graph.invalidations - graph0.invalidations;
-        report.graph_rerecords = graph.rerecords - graph0.rerecords;
+        report.sdc_injected = sdc::injected(&rcfg.sdc);
+        report.absorb_graph_stats(graph0, self.replay.stats);
         if let Some(srv) = diag {
             match srv.finish() {
                 Ok(stats) => {
@@ -1004,7 +988,7 @@ mod tests {
                 ("pend_slow.heat_flux".to_string(), vec![0.0, 6.0e3]),
             ],
         };
-        match distributed_guard(&bad, 1, &rcfg, None) {
+        match distributed_guard(&bad, 1, &rcfg, None).0 {
             Err(GuardFail::BlowUp { var_idx: 1, value }) => assert_eq!(value, 6.0e3),
             other => panic!("expected per-flux bounds violation, got {other:?}"),
         }
@@ -1016,13 +1000,13 @@ mod tests {
                 ("pend_slow.heat_flux".to_string(), vec![0.0, 4.0e3]),
             ],
         };
-        distributed_guard(&ok, 2, &rcfg, None).unwrap();
+        distributed_guard(&ok, 2, &rcfg, None).0.unwrap();
         // And the backstop itself still fires past max_abs.
         let huge = Snapshot {
             vars: vec![("oce.temp".to_string(), vec![1.0e31])],
         };
         assert!(matches!(
-            distributed_guard(&huge, 3, &rcfg, None),
+            distributed_guard(&huge, 3, &rcfg, None).0,
             Err(GuardFail::BlowUp { var_idx: 0, .. })
         ));
     }

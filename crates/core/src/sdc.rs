@@ -34,8 +34,10 @@
 //! machinery absorbs bit-exactly.
 
 use crate::esm::CoupledEsm;
+use crate::state::QUIESCENT_VARS;
 use crate::supervisor::Side;
-use std::sync::Mutex;
+use mpisim::Splitmix64;
+use std::sync::{Arc, Mutex};
 
 /// Flip class of a seeded plan (parsed from `SDC_MODE` in the chaos
 /// matrix).
@@ -144,29 +146,21 @@ impl StateFaultPlan {
     /// plan.
     pub fn seeded(seed: u64, mode: SdcMode, n_flips: usize, n_windows: u64) -> StateFaultPlan {
         assert!(n_windows >= 1, "flips need at least one window");
-        let plan = StateFaultPlan::new();
+        let mut plan = StateFaultPlan::new();
         let mut rng = Splitmix64::new(seed);
-        {
-            let mut st = plan.state.lock().expect("sdc plan lock");
-            for _ in 0..n_flips {
-                let window = 1 + rng.next() % n_windows;
-                let target = match mode {
-                    SdcMode::Quiescent => FlipTarget::QuiescentIndex(rng.next()),
-                    _ => FlipTarget::VarIndex(rng.next()),
-                };
-                let bit = match mode {
-                    // Relative perturbation <= 2^-20: always in-bounds.
-                    SdcMode::Mantissa | SdcMode::Quiescent => (rng.next() % 32) as u8,
-                    // The 11 exponent bits.
-                    SdcMode::Exponent => 52 + (rng.next() % 11) as u8,
-                };
-                st.flips.push(PlannedFlip {
-                    window,
-                    target,
-                    elem: rng.next(),
-                    bit,
-                });
-            }
+        for _ in 0..n_flips {
+            let window = 1 + rng.next_u64() % n_windows;
+            let target = match mode {
+                SdcMode::Quiescent => FlipTarget::QuiescentIndex(rng.next_u64()),
+                _ => FlipTarget::VarIndex(rng.next_u64()),
+            };
+            let bit = match mode {
+                // Relative perturbation <= 2^-20: always in-bounds.
+                SdcMode::Mantissa | SdcMode::Quiescent => (rng.next_u64() % 32) as u8,
+                // The 11 exponent bits.
+                SdcMode::Exponent => 52 + (rng.next_u64() % 11) as u8,
+            };
+            plan = plan.flip(window, target, rng.next_u64(), bit);
         }
         plan
     }
@@ -224,9 +218,21 @@ impl StateFaultPlan {
     }
 }
 
+/// Flips an optional plan has fired so far (`0` without a plan).
+pub(crate) fn injected(plan: &Option<Arc<StateFaultPlan>>) -> u64 {
+    plan.as_ref().map_or(0, |p| p.injected())
+}
+
 /// Apply every flip due at `window` to the live state. Returns the
 /// number of flips applied; each is appended to the plan's injection
 /// log with its before/after bit patterns.
+///
+/// A plan is authored by the test harness, not read from outside, so a
+/// target that names no buffer is a bug in the plan and panics: skipping
+/// it would turn a typo into "0 injected, 0 detected, bitwise equal" — a
+/// green run for the wrong reason. Seeded `VarIndex` targets cannot get
+/// there: they index [`CoupledEsm::flippable_var_names`], which is built
+/// from the same state table `state_var_mut` resolves through.
 pub fn apply_due_flips(esm: &mut CoupledEsm, plan: &StateFaultPlan, window: u64) -> usize {
     let due = plan.take_due(window);
     if due.is_empty() {
@@ -252,7 +258,7 @@ pub fn apply_due_flips(esm: &mut CoupledEsm, plan: &StateFaultPlan, window: u64)
             esm.state_var_mut(&buffer)
         };
         let Some(slice) = slice else {
-            continue; // unknown explicit target: nothing to flip
+            panic!("SDC plan, window {window}: flip target {buffer:?} names no state buffer");
         };
         if slice.is_empty() {
             continue;
@@ -289,10 +295,8 @@ pub fn crc_f64(data: &[f64]) -> u32 {
 /// Which component group owns a static buffer (for per-side corruption
 /// localization in the supervisor).
 pub fn quiescent_side(name: &str) -> Side {
-    match name {
-        "static.bathymetry" | "static.oce_dz" => Side::Slow,
-        _ => Side::Fast,
-    }
+    let row = QUIESCENT_VARS.iter().find(|v| v.name == name);
+    row.and_then(|v| v.side).unwrap_or(Side::Fast)
 }
 
 /// Reference checksums and pristine copies of every quiescent (static)
@@ -355,27 +359,6 @@ impl QuiescenceReference {
     }
 }
 
-/// Small deterministic RNG for plan generation (same construction as
-/// `mpisim`'s plan seeding, so chaos seeds behave uniformly across the
-/// fault domains).
-struct Splitmix64 {
-    state: u64,
-}
-
-impl Splitmix64 {
-    fn new(seed: u64) -> Splitmix64 {
-        Splitmix64 { state: seed }
-    }
-
-    fn next(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -435,6 +418,14 @@ mod tests {
         assert_eq!(log[0].buffer, "oce.temp");
         assert_eq!(log[0].before_bits ^ log[0].after_bits, 1 << 20);
         assert!(!log[0].quiescent);
+    }
+
+    #[test]
+    #[should_panic(expected = "window 2: flip target \"oce.tmep\" names no state buffer")]
+    fn a_flip_target_that_names_no_buffer_panics_instead_of_silently_not_firing() {
+        let mut esm = CoupledEsm::new(EsmConfig::tiny());
+        let plan = StateFaultPlan::new().flip(2, FlipTarget::Var("oce.tmep".into()), 0, 3);
+        apply_due_flips(&mut esm, &plan, 2);
     }
 
     #[test]

@@ -42,12 +42,13 @@
 
 use crate::esm::CoupledEsm;
 use crate::health::{FailureDetector, HealthConfig, HealthError, Verdict};
-use crate::resilience::{EsmError, ResilienceReport};
+use crate::resilience::{open_ring, EsmError, ResilienceReport};
 use coupler::{FluxSet, PersistenceFallback, QuarantineGate, RepairPolicy};
-use iosys::{CheckpointRing, RealFs, RestartError, RetryPolicy, Storage};
+use iosys::{CheckpointRing, RestartError, RetryPolicy, Storage};
 use mpisim::{conform, heartbeat_round_traced, FaultPlan};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// The two supervised component groups.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,10 +64,7 @@ const SIDES: [Side; 2] = [Side::Fast, Side::Slow];
 impl Side {
     /// Heartbeat rank of this group (rank 0 is the monitor).
     pub fn rank(self) -> usize {
-        match self {
-            Side::Fast => 1,
-            Side::Slow => 2,
-        }
+        self.idx() + 1
     }
 
     fn idx(self) -> usize {
@@ -83,7 +81,7 @@ impl Side {
         }
     }
 
-    fn stem(self) -> &'static str {
+    pub(crate) fn stem(self) -> &'static str {
         match self {
             Side::Fast => "fast",
             Side::Slow => "slow",
@@ -161,13 +159,13 @@ struct Supervision<'a> {
     dir: PathBuf,
     /// Absolute window base (windows already run before this call).
     w0: u64,
-    init_to_fast: FluxSet,
-    init_to_slow: FluxSet,
     rings: [CheckpointRing; 2],
-    /// (generation, completed-window count) per written generation.
-    gen_at: [Vec<(u64, u64)>; 2],
-    /// Per side: output of local window `v` and whether it was computed
-    /// from a true (non-degraded) input.
+    /// Per checkpoint: the completed-window count it covers and each
+    /// ring's generation (`None`: that side's write failed).
+    gens: Vec<(u64, [Option<u64>; 2])>,
+    /// Per side: entry `v + 1` is the output of local window `v` and
+    /// whether it was computed from a true (non-degraded) input; entry 0
+    /// is the pre-run lag state the peer consumes in window 0.
     out_log: [Vec<Option<(FluxSet, bool)>>; 2],
     /// Gate screening each side's *outgoing* fluxes.
     gates: [QuarantineGate; 2],
@@ -201,22 +199,14 @@ impl Supervision<'_> {
         let abs = self.w0 + v;
         let flux_err = |error| EsmError::Flux { window: abs, error };
 
-        let initial = match side {
-            Side::Fast => &self.init_to_fast,
-            Side::Slow => &self.init_to_slow,
-        };
-        let (input, input_true) = if v == 0 {
-            (initial.clone(), true)
-        } else {
-            match &self.out_log[side.peer().idx()][v as usize - 1] {
-                Some((f, t)) => (f.clone(), *t),
-                None => {
-                    debug_assert!(record, "replay inputs exist by construction");
-                    let f = self.fallback[i].degrade(abs).map_err(flux_err)?;
-                    self.report.degraded_windows += 1;
-                    self.report.degraded.push(abs);
-                    (f, false)
-                }
+        let (input, input_true) = match &self.out_log[side.peer().idx()][v as usize] {
+            Some((f, t)) => (f.clone(), *t),
+            None => {
+                debug_assert!(record, "replay inputs exist by construction");
+                let f = self.fallback[i].degrade(abs).map_err(flux_err)?;
+                self.report.degraded_windows += 1;
+                self.report.degraded.push(abs);
+                (f, false)
             }
         };
         if input_true {
@@ -240,7 +230,34 @@ impl Supervision<'_> {
             }
         }
         self.gates[i].screen(abs, &mut out, record).map_err(flux_err)?;
-        self.out_log[i][v as usize] = Some((out, input_true));
+        self.out_log[i][v as usize + 1] = Some((out, input_true));
+        self.next_run[i] = v + 1;
+        Ok(())
+    }
+
+    /// Run `side`'s held-back windows up to (excluding) local window
+    /// `upto`, solo from the flux logs.
+    fn catch_up(&mut self, esm: &mut CoupledEsm, side: Side, upto: u64) -> Result<(), EsmError> {
+        while self.next_run[side.idx()] < upto {
+            self.run_one(esm, side, self.next_run[side.idx()], true)?;
+        }
+        Ok(())
+    }
+
+    /// A declared-dead side's live memory is gone: poison it and charge
+    /// one respawn against the side's budget.
+    fn lose(&mut self, esm: &mut CoupledEsm, side: Side, abs: u64) -> Result<(), EsmError> {
+        poison(esm, side);
+        let respawns = &mut self.respawns[side.idx()];
+        *respawns += 1;
+        if *respawns > self.scfg.max_respawns {
+            return Err(HealthError::RespawnBudgetExhausted {
+                window: abs,
+                rank: side.rank(),
+                respawns: *respawns,
+            }
+            .into());
+        }
         Ok(())
     }
 
@@ -250,26 +267,14 @@ impl Supervision<'_> {
     /// killer: that side simply has no generation at this base, and
     /// `recover` falls back to the previous *common* base.
     fn checkpoint(&mut self, esm: &CoupledEsm, completed: u64) {
-        for side in SIDES {
-            let snap = match side {
-                Side::Fast => esm.snapshot_fast(),
-                Side::Slow => esm.snapshot_slow(),
-            };
-            match self.rings[side.idx()].write(&snap, self.scfg.n_files) {
-                Ok(gen) => {
-                    self.gen_at[side.idx()].push((gen, completed));
-                    self.report.checkpoints_written += 1;
-                    self.newest_gen = self.newest_gen.max(gen);
-                }
-                Err(e) => {
-                    self.report.checkpoint_failures += 1;
-                    self.report.faults_absorbed.push(format!(
-                        "window {completed}: {} checkpoint write failed ({e})",
-                        side.stem()
-                    ));
-                }
-            }
-        }
+        let gens = SIDES.map(|side| {
+            let snap = esm.snapshot_side(side);
+            let what = format!("window {completed}: {}", side.stem());
+            let ring = &mut self.rings[side.idx()];
+            self.report.write_generation(ring, &snap, self.scfg.n_files, &what)
+        });
+        self.newest_gen = gens.iter().flatten().fold(self.newest_gen, |a, &g| a.max(g));
+        self.gens.push((completed, gens));
     }
 
     /// Localized recovery of `failed` at local window `w`: restore both
@@ -279,21 +284,10 @@ impl Supervision<'_> {
     /// recomputations, so the post-recovery state matches a fault-free
     /// run bitwise (absent sticky `PersistLast` repairs).
     fn recover(&mut self, esm: &mut CoupledEsm, failed: Side, w: u64) -> Result<(), EsmError> {
-        // Completed-window counts checkpointed on BOTH rings, newest first.
-        let mut bases: Vec<u64> = self.gen_at[0]
-            .iter()
-            .map(|&(_, c)| c)
-            .filter(|&c| c <= w && self.gen_at[1].iter().any(|&(_, c2)| c2 == c))
-            .collect();
-        bases.sort_unstable();
-
-        let gen_for = |m: &[(u64, u64)], c: u64| {
-            m.iter().rev().find(|&&(_, cc)| cc == c).map(|&(g, _)| g)
-        };
+        // Checkpoints that landed on BOTH rings, newest first.
         let mut restored = None;
-        for &base in bases.iter().rev() {
-            let (Some(gf), Some(gs)) = (gen_for(&self.gen_at[0], base), gen_for(&self.gen_at[1], base))
-            else {
+        for &(base, gens) in self.gens.iter().rev().filter(|g| g.0 <= w) {
+            let [Some(gf), Some(gs)] = gens else {
                 continue;
             };
             // Damaged or pruned generations are skipped; recovery walks
@@ -302,7 +296,7 @@ impl Supervision<'_> {
             let slow = self.rings[1].read_generation(gs, self.scfg.n_readers);
             match (fast, slow) {
                 (Ok(sf), Ok(ss)) => {
-                    restored = Some((base, if failed == Side::Fast { gf } else { gs }, sf, ss));
+                    restored = Some((base, [gf, gs][failed.idx()], sf, ss));
                     break;
                 }
                 _ => {
@@ -342,30 +336,11 @@ impl Supervision<'_> {
 /// rank's live memory is gone, and recovery must prove it rebuilds the
 /// state from checkpoints alone.
 fn poison(esm: &mut CoupledEsm, side: Side) {
-    let mut s = match side {
-        Side::Fast => esm.snapshot_fast(),
-        Side::Slow => esm.snapshot_slow(),
-    };
+    let mut s = esm.snapshot_side(side);
     for (_, data) in s.vars.iter_mut() {
         data.fill(f64::NAN);
     }
-    match side {
-        Side::Fast => esm.restore_fast(&s),
-        Side::Slow => esm.restore_slow(&s),
-    }
-}
-
-/// Health probe of one side: first non-finite value in its component
-/// states, if any.
-fn probe(esm: &CoupledEsm, side: Side) -> Option<(&'static str, f64)> {
-    match side {
-        Side::Fast => esm
-            .atm
-            .state
-            .first_nonfinite()
-            .or_else(|| esm.land.state.first_nonfinite()),
-        Side::Slow => esm.ocean.state.first_nonfinite(),
-    }
+    esm.restore_side(side, &s);
 }
 
 impl CoupledEsm {
@@ -382,6 +357,7 @@ impl CoupledEsm {
         scfg: &SupervisorConfig,
         plan: Option<Arc<FaultPlan>>,
     ) -> Result<ResilienceReport, EsmError> {
+        let t0 = Instant::now();
         let n = n_windows;
         let mut gate_fast = QuarantineGate::new(scfg.policy);
         gate_fast.declare_all(&coupler::fluxreg::bounds_of("atmo"));
@@ -389,46 +365,31 @@ impl CoupledEsm {
         let mut gate_slow = QuarantineGate::new(scfg.policy);
         gate_slow.declare_all(&coupler::fluxreg::bounds_of("ocean"));
 
-        let mut fallback = [
-            PersistenceFallback::new(scfg.max_consecutive_degraded),
-            PersistenceFallback::new(scfg.max_consecutive_degraded),
-        ];
-        // Seed with the pre-run pendings so even window 0 can degrade.
-        fallback[Side::Fast.idx()].accept(&self.pending_to_fast);
-        fallback[Side::Slow.idx()].accept(&self.pending_to_slow);
+        // Seeded with the pre-run pendings so even window 0 can degrade.
+        let fallback = [&self.pending_to_fast, &self.pending_to_slow].map(|pending| {
+            let mut f = PersistenceFallback::new(scfg.max_consecutive_degraded);
+            f.accept(pending);
+            f
+        });
+        // Each side's "output of window -1" is what its peer starts from.
+        let out_log = [&self.pending_to_slow, &self.pending_to_fast].map(|pending| {
+            let mut log = vec![None; n as usize + 1];
+            log[0] = Some((pending.clone(), true));
+            log
+        });
 
+        let ring = |side: Side| {
+            let keep = scfg.keep_generations;
+            open_ring(&scfg.storage, dir, side.stem(), keep, scfg.checkpoint_retry)
+        };
         let mut sup = Supervision {
             scfg,
             plan,
             dir: dir.to_path_buf(),
             w0: self.windows_run,
-            init_to_fast: self.pending_to_fast.clone(),
-            init_to_slow: self.pending_to_slow.clone(),
-            rings: {
-                let storage = scfg.storage.clone().unwrap_or_else(RealFs::shared);
-                let mut rings = [
-                    CheckpointRing::new_with(
-                        storage.clone(),
-                        dir,
-                        Side::Fast.stem(),
-                        scfg.keep_generations,
-                    )
-                    .map_err(EsmError::Restart)?,
-                    CheckpointRing::new_with(
-                        storage,
-                        dir,
-                        Side::Slow.stem(),
-                        scfg.keep_generations,
-                    )
-                    .map_err(EsmError::Restart)?,
-                ];
-                for ring in &mut rings {
-                    ring.set_retry(scfg.checkpoint_retry);
-                }
-                rings
-            },
-            gen_at: [Vec::new(), Vec::new()],
-            out_log: [vec![None; n as usize], vec![None; n as usize]],
+            rings: [ring(Side::Fast)?, ring(Side::Slow)?],
+            gens: Vec::new(),
+            out_log,
             gates: [gate_fast, gate_slow],
             fallback,
             detector: FailureDetector::new(3, &scfg.health),
@@ -466,7 +427,7 @@ impl CoupledEsm {
             }
 
             // ---- 2. heartbeat round with health-probe payloads.
-            let probes = [probe(self, Side::Fast), probe(self, Side::Slow)];
+            let probes = SIDES.map(|side| self.first_nonfinite(side));
             let payloads: Vec<Vec<f64>> = vec![
                 Vec::new(),
                 vec![abs as f64, probes[0].is_some() as u8 as f64],
@@ -484,11 +445,7 @@ impl CoupledEsm {
             // Pin the round to the verified heartbeat protocol: any
             // divergence (wrong tag, unexpected message, skipped recv)
             // lands in the report as a protocol violation.
-            sup.report.protocol_rounds += 1;
-            match conform(&hb_spec, abs, &traces) {
-                Ok(s) => sup.report.protocol_ops_matched += s.ops_matched as u64,
-                Err(v) => sup.report.protocol_violations.push(v.to_string()),
-            }
+            sup.report.absorb_conformance(conform(&hb_spec, abs, &traces));
             let verdicts = sup.detector.observe(abs, &statuses);
 
             // ---- 3. transitions: declare failures, schedule respawns.
@@ -496,23 +453,14 @@ impl CoupledEsm {
                 let i = side.idx();
                 match verdicts[side.rank()] {
                     Verdict::NewlyFailed => {
-                        poison(self, side);
                         sup.down[i] = true;
-                        sup.respawns[i] += 1;
-                        if sup.respawns[i] > scfg.max_respawns {
-                            return Err(HealthError::RespawnBudgetExhausted {
-                                window: abs,
-                                rank: side.rank(),
-                                respawns: sup.respawns[i],
-                            }
-                            .into());
-                        }
+                        sup.lose(self, side, abs)?;
                         sup.respawn_at[i] = Some(w + scfg.respawn_delay_windows);
                     }
                     Verdict::Healthy => {
                         if !sup.down[i] {
-                            if let Some((var, value)) = probes[i] {
-                                sup.detector.mark_unhealthy_state(abs, side.rank(), var, value);
+                            if let Some((var, value)) = &probes[i] {
+                                sup.detector.mark_unhealthy_state(abs, side.rank(), var, *value);
                             }
                         }
                     }
@@ -525,27 +473,17 @@ impl CoupledEsm {
 
             // ---- 4a. catch-up: a side that resumed beating after
             // transient misses runs its backlog solo from the flux logs —
-            // state intact, zero degraded windows.
-            for side in SIDES {
-                let i = side.idx();
-                if sup.down[i] || verdicts[side.rank()] != Verdict::Healthy {
-                    continue;
-                }
-                while sup.next_run[i] < w {
-                    let v = sup.next_run[i];
-                    sup.run_one(self, side, v, true)?;
-                    sup.next_run[i] = v + 1;
-                }
+            // state intact, zero degraded windows. A suspected or down
+            // side holds.
+            let live =
+                SIDES.map(|s| !sup.down[s.idx()] && verdicts[s.rank()] == Verdict::Healthy);
+            for side in SIDES.into_iter().filter(|s| live[s.idx()]) {
+                sup.catch_up(self, side, w)?;
             }
             // ---- 4b. the current window, fast side first (matching the
-            // sequential driver's order). A suspected or down side holds.
-            for side in SIDES {
-                let i = side.idx();
-                if sup.down[i] || verdicts[side.rank()] != Verdict::Healthy {
-                    continue;
-                }
+            // sequential driver's order).
+            for side in SIDES.into_iter().filter(|s| live[s.idx()]) {
                 sup.run_one(self, side, w, true)?;
-                sup.next_run[i] = w + 1;
             }
 
             // ---- 4c. quiescence checksums: a flipped bit in a static
@@ -564,23 +502,13 @@ impl CoupledEsm {
                     for name in &dirty {
                         q.repair(self, name);
                     }
-                    let i = side.idx();
                     sup.report.sdc_detected_checksum += 1;
                     sup.report.faults_absorbed.push(format!(
                         "window {abs}: quiescent checksum mismatch on {} side: {}",
                         side.stem(),
                         dirty.join(", ")
                     ));
-                    poison(self, side);
-                    sup.respawns[i] += 1;
-                    if sup.respawns[i] > scfg.max_respawns {
-                        return Err(HealthError::RespawnBudgetExhausted {
-                            window: abs,
-                            rank: side.rank(),
-                            respawns: sup.respawns[i],
-                        }
-                        .into());
-                    }
+                    sup.lose(self, side, abs)?;
                     sup.recover(self, side, w + 1)?;
                 }
             }
@@ -588,7 +516,7 @@ impl CoupledEsm {
             // ---- 5. checkpoint — only fully healthy, fully true state.
             let all_true = SIDES.iter().all(|s| {
                 sup.next_run[s.idx()] == w + 1
-                    && matches!(&sup.out_log[s.idx()][w as usize], Some((_, true)))
+                    && matches!(&sup.out_log[s.idx()][w as usize + 1], Some((_, true)))
             });
             if all_true
                 && !sup.detector.any_unhealthy()
@@ -606,45 +534,30 @@ impl CoupledEsm {
             }
         }
         for side in SIDES {
-            let i = side.idx();
-            while sup.next_run[i] < n {
-                let v = sup.next_run[i];
-                sup.run_one(self, side, v, true)?;
-                sup.next_run[i] = v + 1;
-            }
+            sup.catch_up(self, side, n)?;
         }
 
         // Hand the lag state back to the plain drivers.
-        if n > 0 {
-            let last_slow = sup.out_log[Side::Slow.idx()][n as usize - 1]
-                .as_ref()
-                .expect("slow side drained through the last window");
-            let last_fast = sup.out_log[Side::Fast.idx()][n as usize - 1]
-                .as_ref()
-                .expect("fast side drained through the last window");
-            self.pending_to_fast = last_slow.0.clone();
-            self.pending_to_slow = last_fast.0.clone();
-        }
+        let last = |side: Side| {
+            let out = sup.out_log[side.idx()][n as usize].clone();
+            out.expect("both sides drained through the last window").0
+        };
+        self.pending_to_slow = last(Side::Fast);
+        self.pending_to_fast = last(Side::Slow);
         self.windows_run = sup.w0 + n;
-        self.timers.simulated_s += n as f64 * self.cfg.coupling_s;
+        self.timers.account_call(t0, n as f64 * self.cfg.coupling_s);
 
         let mut report = sup.report;
         report.windows_run = n;
         report.final_generation = sup.newest_gen;
         report.checkpoint_retries = sup.rings.iter().map(|r| r.io_retries()).sum();
         report.timeline = sup.detector.into_timeline();
-        let graph = self.replay.stats;
-        report.graph_recordings = graph.recorded_windows - graph0.recorded_windows;
-        report.graph_replays = graph.replayed_windows - graph0.replayed_windows;
-        report.graph_invalidations = graph.invalidations - graph0.invalidations;
-        report.graph_rerecords = graph.rerecords - graph0.rerecords;
+        report.absorb_graph_stats(graph0, self.replay.stats);
         let mut events: Vec<_> = sup.gates[0].events().to_vec();
         events.extend_from_slice(sup.gates[1].events());
         events.sort_by_key(|e| e.window);
         report.quarantine_events = events;
-        if let Some(p) = &scfg.sdc_plan {
-            report.sdc_injected = p.injected();
-        }
+        report.sdc_injected = crate::sdc::injected(&scfg.sdc_plan);
         if let Some(plan) = &sup.plan {
             let fr = plan.report();
             report
@@ -707,6 +620,11 @@ mod tests {
         assert!(report.quarantine_events.is_empty());
         // Initial + after windows 2 and 4, two rings each.
         assert_eq!(report.checkpoints_written, 6);
+        // The call's wall time is accounted like a plain run's.
+        let t = &a.timers;
+        assert!(t.tau() > 0.0, "{t:?}");
+        assert!(t.total_s >= t.atm_land_s.max(t.ocean_bgc_s), "{t:?}");
+        assert_eq!(t.threads, rayon::current_num_threads());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -790,6 +708,28 @@ mod tests {
             }) => assert_eq!(field, "sst"),
             other => panic!("expected typed NonFinite rejection, got {other:?}"),
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn bgc_only_nan_is_an_unhealthy_slow_side_naming_the_tracer() {
+        let dir = scratch_dir("sup_bgc_nan");
+        let mut esm = tiny();
+        esm.hamocc.tracers[3].as_mut_slice()[0] = f64::NAN;
+        // The slow side owns the BGC buffers, and the probe names the
+        // concrete snapshot variable, not the tracer family's table row.
+        assert!(esm.first_nonfinite(Side::Fast).is_none());
+        let (var, value) = esm.first_nonfinite(Side::Slow).expect("slow side probes the BGC");
+        assert_eq!(var, "bgc.tr03");
+        assert!(value.is_nan());
+        let report = esm.run_windows_supervised(1, &dir, &quick_scfg(), None).unwrap();
+        let unhealthy: Vec<_> = (report.timeline.iter())
+            .filter_map(|e| match &e.kind {
+                HealthEventKind::UnhealthyState { var, .. } => Some((e.rank, var.as_str())),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(unhealthy, [(Side::Slow.rank(), "bgc.tr03")]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

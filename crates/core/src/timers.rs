@@ -14,10 +14,11 @@
 //! the number that shows whether tau is actually riding the hardware.
 //!
 //! Concurrent coupling runs the two component groups on different threads,
-//! so they cannot share `&mut` buckets. The contract is: each side times
-//! into **per-side locals** ([`Timers::time_with_busy`] with locals), and
-//! the driver merges them after the join — see
-//! `CoupledEsm::run_windows` and the no-double-count test below.
+//! so they cannot share a `&mut Timers`. The contract is: each side
+//! borrows **its own pair of buckets** (disjoint fields, handed out by
+//! `CoupledEsm::split_sides`) and times into them with
+//! [`Timers::time_with_busy`], so neither side's bucket can absorb the
+//! other's wall time — see the no-double-count test below.
 
 use std::time::Instant;
 
@@ -63,9 +64,8 @@ impl Timers {
     /// Time a closure into a wall bucket AND attribute the pool-worker
     /// busy seconds of every parallel kernel it drives to `busy`.
     ///
-    /// Both references may be per-side locals: in concurrent coupling each
-    /// component thread owns its own pair and the driver merges them after
-    /// the join, so no `&mut` bucket is ever shared across threads.
+    /// In concurrent coupling each component thread holds its own pair,
+    /// so no `&mut` bucket is ever shared across threads.
     pub fn time_with_busy<T>(bucket: &mut f64, busy: &mut f64, f: impl FnOnce() -> T) -> T {
         let busy0 = rayon::thread_busy_s();
         let t0 = Instant::now();
@@ -73,6 +73,14 @@ impl Timers {
         *bucket += t0.elapsed().as_secs_f64();
         *busy += rayon::thread_busy_s() - busy0;
         r
+    }
+
+    /// Account one driver call into the span: its wall time since `t0`,
+    /// the simulated seconds it covered, and the pool width it ran at.
+    pub fn account_call(&mut self, t0: Instant, simulated_s: f64) {
+        self.threads = rayon::current_num_threads();
+        self.total_s += t0.elapsed().as_secs_f64();
+        self.simulated_s += simulated_s;
     }
 
     /// Temporal compression tau = simulated time / wall time.

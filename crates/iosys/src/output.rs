@@ -20,8 +20,8 @@
 //! The trailing CRC makes every record self-validating: a torn append, a
 //! flipped bit, or a hostile length is a typed [`OutputError`], never a
 //! panic, and [`recover_records`] truncates a damaged stream back to its
-//! longest intact prefix. Frame-less v1 files (raw `time | len | payload`)
-//! remain readable with bounds checking.
+//! longest intact prefix. A stream that does not open with the magic is
+//! [`OutputError::Corrupt`]: nothing is ever parsed without its checksum.
 //!
 //! ## Failure policy
 //!
@@ -448,6 +448,16 @@ fn parse_frame(
         return Ok(None);
     }
     let rest = &bytes[off..];
+    // Magic first, on however much of it is there: anything that is not
+    // (the start of) a frame is corrupt, however short.
+    let magic = &rest[..rest.len().min(4)];
+    if !REC_MAGIC.starts_with(magic) {
+        return Err(OutputError::Corrupt {
+            path: path.to_path_buf(),
+            offset: off as u64,
+            context: format!("bad record magic {magic:02x?}"),
+        });
+    }
     if rest.len() < REC_HEADER + 4 {
         return Err(OutputError::Truncated {
             path: path.to_path_buf(),
@@ -455,17 +465,11 @@ fn parse_frame(
             context: "record header",
         });
     }
-    if &rest[..4] != REC_MAGIC {
-        return Err(OutputError::Corrupt {
-            path: path.to_path_buf(),
-            offset: off as u64,
-            context: format!("bad record magic {:02x?}", &rest[..4]),
-        });
-    }
     let time = f64::from_le_bytes(rest[4..12].try_into().unwrap());
     let len = u64::from_le_bytes(rest[12..20].try_into().unwrap());
+    // Compared against the room left, so a hostile length cannot overflow.
     let payload_bytes = match (len as usize).checked_mul(8) {
-        Some(b) if REC_HEADER + b + 4 <= rest.len() => b,
+        Some(b) if b <= rest.len() - (REC_HEADER + 4) => b,
         _ => {
             return Err(OutputError::Truncated {
                 path: path.to_path_buf(),
@@ -492,52 +496,9 @@ fn parse_frame(
     Ok(Some((time, data, off + frame_end + 4)))
 }
 
-/// Parse one legacy v1 record (`time | len | payload`, no framing) with
-/// bounds checks — a torn tail is a typed error, never a panic.
-fn parse_v1(
-    path: &Path,
-    bytes: &[u8],
-    off: usize,
-) -> Result<Option<(f64, Vec<f64>, usize)>, OutputError> {
-    if off == bytes.len() {
-        return Ok(None);
-    }
-    let rest = &bytes[off..];
-    if rest.len() < 16 {
-        return Err(OutputError::Truncated {
-            path: path.to_path_buf(),
-            offset: off as u64,
-            context: "legacy record header",
-        });
-    }
-    let time = f64::from_le_bytes(rest[..8].try_into().unwrap());
-    let len = u64::from_le_bytes(rest[8..16].try_into().unwrap());
-    let payload_bytes = match (len as usize).checked_mul(8) {
-        Some(b) if 16 + b <= rest.len() => b,
-        _ => {
-            return Err(OutputError::Truncated {
-                path: path.to_path_buf(),
-                offset: off as u64,
-                context: "legacy record payload",
-            })
-        }
-    };
-    let data: Vec<f64> = rest[16..16 + payload_bytes]
-        .chunks_exact(8)
-        .map(|b| f64::from_le_bytes(b.try_into().unwrap()))
-        .collect();
-    Ok(Some((time, data, off + 16 + payload_bytes)))
-}
-
-fn is_v2(bytes: &[u8]) -> bool {
-    bytes.len() >= 4 && &bytes[..4] == REC_MAGIC
-}
-
 /// Read back all records of a variable: `(time, data)` pairs. Strict: any
 /// damage anywhere in the stream is a typed [`OutputError`] (use
-/// [`recover_records`] to salvage the intact prefix instead). Files
-/// starting with the `RC02` magic parse as CRC-framed v2; anything else
-/// falls back to the bounds-checked legacy v1 layout.
+/// [`recover_records`] to salvage the intact prefix instead).
 pub fn read_records(dir: &Path, name: &str) -> Result<Vec<(f64, Vec<f64>)>, OutputError> {
     read_records_with(&RealFs, dir, name)
 }
@@ -553,23 +514,13 @@ pub fn read_records_with(
         path: path.clone(),
         source: e,
     })?;
-    let v2 = is_v2(&bytes);
     let mut out = Vec::new();
     let mut off = 0;
-    loop {
-        let parsed = if v2 {
-            parse_frame(&path, &bytes, off)?
-        } else {
-            parse_v1(&path, &bytes, off)?
-        };
-        match parsed {
-            Some((time, data, next)) => {
-                out.push((time, data));
-                off = next;
-            }
-            None => return Ok(out),
-        }
+    while let Some((time, data, next)) = parse_frame(&path, &bytes, off)? {
+        out.push((time, data));
+        off = next;
     }
+    Ok(out)
 }
 
 /// Salvage a possibly-damaged `.rec` stream: walk records until the first
@@ -599,23 +550,13 @@ pub fn recover_records_with(
         }
         Err(e) => return Err(OutputError::Io { path, source: e }),
     };
-    let v2 = is_v2(&bytes);
     let mut records = Vec::new();
     let mut off = 0;
-    loop {
-        let parsed = if v2 {
-            parse_frame(&path, &bytes, off)
-        } else {
-            parse_v1(&path, &bytes, off)
-        };
-        match parsed {
-            Ok(Some((time, data, next))) => {
-                records.push((time, data));
-                off = next;
-            }
-            Ok(None) => break,
-            Err(_) => break, // first damage: everything from `off` is dropped
-        }
+    // Stops at the end or at the first damage: everything from `off` on
+    // is dropped.
+    while let Ok(Some((time, data, next))) = parse_frame(&path, &bytes, off) {
+        records.push((time, data));
+        off = next;
     }
     let dropped = (bytes.len() - off) as u64;
     let mut repaired = false;
@@ -765,35 +706,46 @@ mod tests {
     }
 
     #[test]
-    fn truncated_legacy_tail_is_a_typed_error_not_a_panic() {
+    fn frameless_streams_and_hostile_lengths_are_typed_errors_not_panics() {
         let dir = scratch_dir("out_trunc1");
         fs::create_dir_all(&dir).unwrap();
-        // Legacy layout: time | len | payload, no magic, no CRC.
+        // The retired v1 layout: time | len | payload, no magic, no CRC.
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&1.5f64.to_le_bytes());
         bytes.extend_from_slice(&3u64.to_le_bytes());
         for v in [1.0f64, 2.0, 3.0] {
             bytes.extend_from_slice(&v.to_le_bytes());
         }
-        // Torn tail: header claims 3 values, payload holds one.
-        bytes.extend_from_slice(&2.5f64.to_le_bytes());
-        bytes.extend_from_slice(&3u64.to_le_bytes());
-        bytes.extend_from_slice(&9.0f64.to_le_bytes());
         fs::write(dir.join("v.rec"), &bytes).unwrap();
-        // This exact input panicked before the bounds checks.
+        // Never parsed without a checksum: bad magic at the first byte.
         match read_records(&dir, "v") {
-            Err(OutputError::Truncated { offset, .. }) => assert_eq!(offset, 40),
-            other => panic!("expected Truncated, got {other:?}"),
+            Err(OutputError::Corrupt { offset, .. }) => assert_eq!(offset, 0),
+            other => panic!("expected Corrupt, got {other:?}"),
         }
-        // Hostile length: u64::MAX would overflow `len * 8`.
-        let mut hostile = Vec::new();
-        hostile.extend_from_slice(&0.0f64.to_le_bytes());
-        hostile.extend_from_slice(&u64::MAX.to_le_bytes());
-        fs::write(dir.join("v.rec"), &hostile).unwrap();
-        assert!(matches!(
-            read_records(&dir, "v"),
-            Err(OutputError::Truncated { .. })
-        ));
+        // Recovery salvages the intact prefix — here, nothing.
+        let rec = recover_records(&dir, "v").unwrap();
+        assert!(rec.records.is_empty());
+        assert_eq!((rec.intact_bytes, rec.dropped_bytes), (0, bytes.len() as u64));
+        // Shorter than a frame header and still not a frame: Corrupt, not
+        // Truncated.
+        fs::write(dir.join("v.rec"), &bytes[..8]).unwrap();
+        assert!(matches!(read_records(&dir, "v"), Err(OutputError::Corrupt { offset: 0, .. })));
+        // Hostile lengths: u64::MAX overflows `len * 8`; usize::MAX / 8
+        // survives that and would overflow the frame end instead.
+        for len in [u64::MAX, (usize::MAX / 8) as u64] {
+            let mut hostile = Vec::new();
+            hostile.extend_from_slice(REC_MAGIC);
+            hostile.extend_from_slice(&0.0f64.to_le_bytes());
+            hostile.extend_from_slice(&len.to_le_bytes());
+            hostile.extend_from_slice(&[0u8; 4]);
+            fs::write(dir.join("v.rec"), &hostile).unwrap();
+            match read_records(&dir, "v") {
+                Err(OutputError::Truncated { context, .. }) => {
+                    assert_eq!(context, "record payload", "len {len}")
+                }
+                other => panic!("len {len}: expected Truncated, got {other:?}"),
+            }
+        }
         fs::remove_dir_all(&dir).ok();
     }
 

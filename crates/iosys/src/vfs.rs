@@ -305,16 +305,16 @@ impl FaultFs {
     /// scheduled explicitly). The same seed always yields the same plan.
     pub fn seeded(seed: u64, n_faults: usize) -> FaultFs {
         let plan = FaultFs::new();
-        let mut rng = Splitmix64::new(seed);
+        let mut rng = mpisim::Splitmix64::new(seed);
         {
             let mut st = plan.state.lock();
             for _ in 0..n_faults {
-                let nth = 1 + rng.next() % 20;
-                let fault = match rng.next() % 4 {
+                let nth = 1 + rng.next_u64() % 20;
+                let fault = match rng.next_u64() % 4 {
                     0 => StorageFault::TransientIo { nth_write: nth },
                     1 => StorageFault::TornWrite {
                         nth_write: nth,
-                        keep: (rng.next() % 64) as usize,
+                        keep: (rng.next_u64() % 64) as usize,
                     },
                     2 => StorageFault::FsyncLie { nth_fsync: nth },
                     _ => StorageFault::RenameFail { nth_rename: nth },
@@ -643,26 +643,6 @@ impl Storage for FaultFs {
         st.files.remove(path);
         drop(st);
         self.inner.remove(path)
-    }
-}
-
-/// Small deterministic RNG for seeded plans (same generator as
-/// `mpisim::FaultPlan`).
-struct Splitmix64 {
-    state: u64,
-}
-
-impl Splitmix64 {
-    fn new(seed: u64) -> Splitmix64 {
-        Splitmix64 { state: seed }
-    }
-
-    fn next(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
     }
 }
 

@@ -128,40 +128,6 @@ impl LandState {
         }
     }
 
-    /// Health probe: the first non-finite value in the soil, carbon, and
-    /// hydrology state, as `(variable, value)`. `None` means numerically
-    /// healthy; the supervision layer sends this with each heartbeat.
-    pub fn first_nonfinite(&self) -> Option<(&'static str, f64)> {
-        let fields3: [(&'static str, &Field3); 4] = [
-            ("land.t_soil", &self.t_soil),
-            ("land.w_liquid", &self.w_liquid),
-            ("land.w_ice", &self.w_ice),
-            ("land.q_organic", &self.q_organic),
-        ];
-        for (name, f) in fields3 {
-            if let Some(&v) = f.as_slice().iter().find(|v| !v.is_finite()) {
-                return Some((name, v));
-            }
-        }
-        let vecs: [(&'static str, &[f64]); 9] = [
-            ("land.pools", &self.pools),
-            ("land.lai", &self.lai),
-            ("land.river_storage", &self.river_storage),
-            ("land.nee", &self.nee),
-            ("land.et", &self.evapotranspiration),
-            ("land.nee_acc", &self.nee_acc),
-            ("land.et_acc", &self.et_acc),
-            ("land.precip_acc", &self.precip_acc),
-            ("land.runoff_acc", &self.runoff_acc),
-        ];
-        for (name, d) in vecs {
-            if let Some(&v) = d.iter().find(|v| !v.is_finite()) {
-                return Some((name, v));
-            }
-        }
-        None
-    }
-
     #[inline]
     pub fn pool(&self, cell: usize, pft: usize, p: CarbonPool) -> f64 {
         self.pools[cell * N_PFT * N_POOLS + pft * N_POOLS + p.idx()]

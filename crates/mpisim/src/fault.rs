@@ -180,18 +180,18 @@ impl FaultPlan {
         {
             let mut st = plan.state.lock();
             for _ in 0..n_faults {
-                let src = (rng.next() % n_ranks as u64) as usize;
-                let mut dst = (rng.next() % n_ranks as u64) as usize;
+                let src = (rng.next_u64() % n_ranks as u64) as usize;
+                let mut dst = (rng.next_u64() % n_ranks as u64) as usize;
                 if dst == src {
                     dst = (dst + 1) % n_ranks;
                 }
-                let nth = 1 + rng.next() % 3;
-                let action = match rng.next() % 4 {
+                let nth = 1 + rng.next_u64() % 3;
+                let action = match rng.next_u64() % 4 {
                     0 => FaultAction::Drop,
-                    1 => FaultAction::Delay(Duration::from_millis(1 + rng.next() % 8)),
+                    1 => FaultAction::Delay(Duration::from_millis(1 + rng.next_u64() % 8)),
                     2 => FaultAction::Duplicate,
                     _ => FaultAction::BitFlip {
-                        bit: (rng.next() % 512) as usize,
+                        bit: (rng.next_u64() % 512) as usize,
                     },
                 };
                 st.faults.push(PlannedFault { src, dst, nth, action });
@@ -327,17 +327,17 @@ pub(crate) fn msg_checksum(tag: u64, seq: u64, data: &[f64]) -> u64 {
     h
 }
 
-/// Small deterministic RNG for plan generation.
-struct Splitmix64 {
+/// Small deterministic RNG seeding every fault domain's plans (comms here, `iosys` storage, `esm-core` SDC).
+pub struct Splitmix64 {
     state: u64,
 }
 
 impl Splitmix64 {
-    fn new(seed: u64) -> Splitmix64 {
+    pub fn new(seed: u64) -> Splitmix64 {
         Splitmix64 { state: seed }
     }
 
-    fn next(&mut self) -> u64 {
+    pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E3779B97F4A7C15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);

@@ -24,7 +24,7 @@ pub mod stats;
 pub mod verify;
 
 pub use comm::{Comm, World, WorldOptions, WorldRun, DEFAULT_HANG_DEADLINE};
-pub use fault::{CommError, FaultAction, FaultPlan, FaultReport, PlannedFault};
+pub use fault::{CommError, FaultAction, FaultPlan, FaultReport, PlannedFault, Splitmix64};
 pub use halo::HaloExchanger;
 pub use heartbeat::{heartbeat_round, heartbeat_round_traced, BeatConfig, BeatStatus};
 pub use protocol::{

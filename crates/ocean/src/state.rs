@@ -103,40 +103,6 @@ impl OceanState {
         }
     }
 
-    /// Health probe: the first non-finite value in the prognostic and
-    /// forcing state, as `(variable, value)`. `None` means numerically
-    /// healthy; the supervision layer sends this with each heartbeat.
-    pub fn first_nonfinite(&self) -> Option<(&'static str, f64)> {
-        let fields3: [(&'static str, &Field3); 4] = [
-            ("oce.vn", &self.vn),
-            ("oce.temp", &self.temp),
-            ("oce.salt", &self.salt),
-            ("oce.w", &self.w),
-        ];
-        for (name, f) in fields3 {
-            if let Some(&v) = f.as_slice().iter().find(|v| !v.is_finite()) {
-                return Some((name, v));
-            }
-        }
-        let fields2: [(&'static str, &Field2); 9] = [
-            ("oce.eta", &self.eta),
-            ("oce.ice", &self.ice_thick),
-            ("oce.wind_stress", &self.wind_stress_n),
-            ("oce.heat_flux", &self.heat_flux),
-            ("oce.fw_flux", &self.fw_flux),
-            ("oce.pco2", &self.pco2_atm),
-            ("oce.heat_acc", &self.heat_acc),
-            ("oce.salt_acc", &self.salt_acc),
-            ("oce.ice_fw_acc", &self.ice_fw_acc),
-        ];
-        for (name, f) in fields2 {
-            if let Some(&v) = f.as_slice().iter().find(|v| !v.is_finite()) {
-                return Some((name, v));
-            }
-        }
-        None
-    }
-
     /// Heat content of the wet ocean (deg C * m^3, scaled by rho0*cp
     /// outside if Joules are wanted), over the first `owned` cells.
     pub fn heat_content<G: CGrid>(
