@@ -124,11 +124,6 @@ impl<G: CGrid> Atmosphere<G> {
             .map(|k| self.state.delta.at(c, k) * self.state.qv.at(c, k))
             .sum()
     }
-
-    /// Surface pressure proxy: column mass (m).
-    pub fn column_mass(&self, c: usize) -> f64 {
-        self.state.delta.col(c).iter().sum()
-    }
 }
 
 #[cfg(test)]

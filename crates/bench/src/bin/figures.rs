@@ -5,59 +5,42 @@
 //! cargo run --release -p esm-bench --bin figures table1   # one artifact
 //! ```
 //!
-//! Artifacts: table1 table2 table3 fig2 fig4 dace loc cudagraphs
-//! graph_replay io tau_limits mapping resilience storage sdc protocol
-//! cost_roofline.
-//! Output is printed and written to `results/*.json`.
+//! Artifacts: the names in `esm_bench::figures::ARTIFACTS`. Output is
+//! printed and written to `results/<name>.json`, each file stamped with
+//! the table's `"provenance"` (`modeled`, `counted` or `modeled+counted`).
+//! An unknown name exits with status 2 before anything runs.
 
-use esm_bench::figures;
+use esm_bench::figures::ARTIFACTS;
+use serde_json::Value;
 use std::fs;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    fs::create_dir_all("results").expect("create results dir");
-
-    let run = |name: &str| -> Option<serde_json::Value> {
-        match name {
-            "table1" => Some(figures::table1()),
-            "table2" => Some(figures::table2()),
-            "table3" => Some(figures::table3()),
-            "fig2" => Some(figures::fig2()),
-            "fig4" => Some(figures::fig4()),
-            "dace" => Some(figures::dace()),
-            "loc" => Some(figures::loc_inventory()),
-            "cudagraphs" => Some(figures::cudagraphs()),
-            "graph_replay" => Some(figures::graph_replay()),
-            "io" => Some(figures::io()),
-            "tau_limits" => Some(figures::tau_limits()),
-            "mapping" => Some(figures::mapping()),
-            "resilience" => Some(figures::resilience()),
-            "storage" => Some(figures::storage()),
-            "sdc" => Some(figures::sdc()),
-            "protocol" => Some(figures::protocol()),
-            "cost_roofline" => Some(figures::cost_roofline()),
-            other => {
-                eprintln!("unknown artifact '{other}'");
-                None
-            }
-        }
-    };
-
-    let mut results = Vec::new();
+    let mut selected = Vec::new();
     if args.is_empty() || args.iter().any(|a| a == "all") {
-        results = figures::all();
+        selected.extend(ARTIFACTS);
     } else {
         for a in &args {
-            if let Some(v) = run(a) {
-                results.push((Box::leak(a.clone().into_boxed_str()) as &'static str, v));
+            match ARTIFACTS.iter().find(|(name, ..)| name == a) {
+                Some(entry) => selected.push(entry),
+                None => {
+                    let names: Vec<&str> = ARTIFACTS.iter().map(|(name, ..)| *name).collect();
+                    eprintln!("unknown artifact '{a}'; known: all {}", names.join(" "));
+                    std::process::exit(2);
+                }
             }
         }
     }
 
-    for (name, value) in &results {
+    fs::create_dir_all("results").expect("create results dir");
+    for (name, provenance, generate) in &selected {
+        let Value::Map(mut entries) = generate() else {
+            panic!("{name}: a figure is a JSON object");
+        };
+        entries.insert(0, ("provenance".to_string(), Value::Str(provenance.to_string())));
         let path = format!("results/{name}.json");
-        fs::write(&path, serde_json::to_string_pretty(value).unwrap())
+        fs::write(&path, serde_json::to_string_pretty(&Value::Map(entries)).unwrap())
             .unwrap_or_else(|e| panic!("write {path}: {e}"));
     }
-    println!("\nwrote {} JSON artifact(s) to results/", results.len());
+    println!("\nwrote {} JSON artifact(s) to results/", selected.len());
 }

@@ -35,7 +35,6 @@
 //!   compression tau.
 
 pub mod budgets;
-pub mod diagnostics;
 pub mod config;
 pub mod esm;
 pub mod fluxspec;

@@ -55,16 +55,12 @@ pub struct ResilienceConfig {
     pub n_files: usize,
     /// Staggered reader groups on restore.
     pub n_readers: usize,
-    /// Checkpoint generations retained in the ring.
-    pub keep_generations: usize,
     /// Rank-threads in the distributed blow-up guard (>= 2).
     pub guard_ranks: usize,
     /// Per-message receive deadline inside the guard.
     pub recv_timeout: Duration,
     /// Rollback attempts for one window before giving up.
     pub max_retries_per_window: u32,
-    /// Blow-up threshold: any |value| above this fails the guard.
-    pub max_abs: f64,
     /// Chaos hook: flip one byte in the first shard of these generation
     /// numbers right after they are written, simulating silent storage
     /// corruption that the next restore must detect and fall back over.
@@ -78,8 +74,6 @@ pub struct ResilienceConfig {
     /// windows (`0`: diagnostics off). Diagnostics are shed, never
     /// blocking and never fatal.
     pub diagnostics_every: u64,
-    /// Queue depth of the diagnostics output server.
-    pub output_queue: usize,
     /// Enable the SDC detector suite and audit every this many windows
     /// (`0`: off). When on, every completed window is additionally
     /// screened by quiescence checksums, an audit replay (re-execute the
@@ -99,25 +93,29 @@ pub struct ResilienceConfig {
     pub sdc: Option<Arc<StateFaultPlan>>,
 }
 
+/// Checkpoint generations retained in the ring.
+const KEEP_GENERATIONS: usize = 3;
+/// Blow-up threshold: any |value| above this fails the guard.
+/// Generous: bookkeeping accumulators (e.g. total water handed to the
+/// ocean) legitimately reach 1e13+ on the tiny config; a genuine blow-up
+/// overflows toward infinity well past this.
+const MAX_ABS: f64 = 1e30;
+/// Queue depth of the diagnostics output server.
+const OUTPUT_QUEUE: usize = 16;
+
 impl Default for ResilienceConfig {
     fn default() -> ResilienceConfig {
         ResilienceConfig {
             checkpoint_every: 2,
             n_files: 3,
             n_readers: 2,
-            keep_generations: 3,
             guard_ranks: 3,
             recv_timeout: Duration::from_millis(150),
             max_retries_per_window: 3,
-            // Generous: bookkeeping accumulators (e.g. total water handed
-            // to the ocean) legitimately reach 1e13+ on the tiny config; a
-            // genuine blow-up overflows toward infinity well past this.
-            max_abs: 1e30,
             corrupt_generations: Vec::new(),
             storage: None,
             checkpoint_retry: RetryPolicy::default(),
             diagnostics_every: 0,
-            output_queue: 16,
             audit_every: 0,
             delta_frac: 0.9,
             sdc: None,
@@ -359,11 +357,11 @@ impl std::fmt::Display for GuardFail {
 /// Per-variable guard bounds: coupling fluxes in the lag state
 /// (`pend_fast.*` / `pend_slow.*`) are screened against their declared
 /// physical range from `coupler::fluxreg`; every other variable keeps
-/// the global `max_abs` scalar as the final backstop.
-fn guard_bounds(name: &str, max_abs: f64) -> (f64, f64) {
+/// the global [`MAX_ABS`] scalar as the final backstop.
+fn guard_bounds(name: &str) -> (f64, f64) {
     state::lag_flux(name)
         .and_then(coupler::fluxreg::bounds)
-        .unwrap_or((-max_abs, max_abs))
+        .unwrap_or((-MAX_ABS, MAX_ABS))
 }
 
 /// Scan this rank's shard of the snapshot: returns `(flag, var_idx,
@@ -409,7 +407,7 @@ fn distributed_guard(
     let timeout = rcfg.recv_timeout;
     let bounds_vec: Vec<(f64, f64)> = vars
         .iter()
-        .map(|(name, _)| guard_bounds(name, rcfg.max_abs))
+        .map(|(name, _)| guard_bounds(name))
         .collect();
     let bounds = &bounds_vec;
 
@@ -587,8 +585,8 @@ impl CoupledEsm {
         let mut report = ResilienceReport::default();
         let w0 = self.windows_run();
         let graph0 = self.replay.stats;
-        let keep = rcfg.keep_generations;
-        let mut ring = open_ring(&rcfg.storage, dir, "restart", keep, rcfg.checkpoint_retry)?;
+        let mut ring =
+            open_ring(&rcfg.storage, dir, "restart", KEEP_GENERATIONS, rcfg.checkpoint_retry)?;
         // Write a generation (a failed write is degraded, not fatal); the
         // chaos hook may then damage it on disk.
         let checkpoint = |report: &mut ResilienceReport,
@@ -608,7 +606,7 @@ impl CoupledEsm {
             match OutputServer::spawn_with(
                 rcfg.storage.clone().unwrap_or_else(RealFs::shared),
                 dir.join("diag"),
-                rcfg.output_queue,
+                OUTPUT_QUEUE,
                 OutputPolicy {
                     on_full: FullPolicy::Shed,
                     ..OutputPolicy::default()
@@ -973,10 +971,10 @@ mod tests {
         // Satellite regression for the bounds consolidation: coupler lag
         // state is held to its fluxreg physical range, everything else
         // keeps the old global scalar as backstop.
-        assert_eq!(guard_bounds("pend_slow.heat_flux", 1e30), (-5000.0, 5000.0));
-        assert_eq!(guard_bounds("pend_fast.ice_conc", 1e30), (0.0, 1.0));
-        assert_eq!(guard_bounds("oce.temp", 1e30), (-1e30, 1e30));
-        assert_eq!(guard_bounds("pend_fast.no_such_flux", 1e30), (-1e30, 1e30));
+        assert_eq!(guard_bounds("pend_slow.heat_flux"), (-5000.0, 5000.0));
+        assert_eq!(guard_bounds("pend_fast.ice_conc"), (0.0, 1.0));
+        assert_eq!(guard_bounds("oce.temp"), (-1e30, 1e30));
+        assert_eq!(guard_bounds("pend_fast.no_such_flux"), (-1e30, 1e30));
 
         let rcfg = quick_rcfg();
         // 6 kW/m^2 is inside the 1e30 backstop that was the *only* check
@@ -993,7 +991,7 @@ mod tests {
             other => panic!("expected per-flux bounds violation, got {other:?}"),
         }
         // Same shape, physically plausible flux: clean. The generic var
-        // at 1e29 pins the old backstop behavior (below max_abs passes).
+        // at 1e29 pins the old backstop behavior (below MAX_ABS passes).
         let ok = Snapshot {
             vars: vec![
                 ("oce.temp".to_string(), vec![1.0e29]),
@@ -1001,7 +999,7 @@ mod tests {
             ],
         };
         distributed_guard(&ok, 2, &rcfg, None).0.unwrap();
-        // And the backstop itself still fires past max_abs.
+        // And the backstop itself still fires past MAX_ABS.
         let huge = Snapshot {
             vars: vec![("oce.temp".to_string(), vec![1.0e31])],
         };

@@ -95,12 +95,6 @@ pub struct SupervisorConfig {
     /// Write per-side checkpoint generations every this many healthy
     /// completed windows.
     pub checkpoint_every: u64,
-    /// Shard files per checkpoint generation.
-    pub n_files: usize,
-    /// Staggered reader groups on restore.
-    pub n_readers: usize,
-    /// Generations retained per side's ring.
-    pub keep_generations: usize,
     /// Heartbeat timing and the suspicion threshold.
     pub health: HealthConfig,
     /// Windows between failure declaration and the respawn attempt
@@ -111,8 +105,6 @@ pub struct SupervisorConfig {
     pub max_consecutive_degraded: u32,
     /// Repair policy of the field-quarantine gates.
     pub policy: RepairPolicy,
-    /// Respawns allowed per side before giving up.
-    pub max_respawns: u32,
     /// Chaos hook: at (supervised-local window, field), overwrite entry 0
     /// of that field in its producer's output with NaN — re-applied
     /// identically during replay, like a deterministic model bug.
@@ -131,18 +123,23 @@ pub struct SupervisorConfig {
     pub quiescence_checks: bool,
 }
 
+/// Shard files per checkpoint generation.
+const N_FILES: usize = 2;
+/// Staggered reader groups on restore.
+const N_READERS: usize = 2;
+/// Generations retained per side's ring.
+const KEEP_GENERATIONS: usize = 4;
+/// Respawns allowed per side before giving up.
+const MAX_RESPAWNS: u32 = 4;
+
 impl Default for SupervisorConfig {
     fn default() -> SupervisorConfig {
         SupervisorConfig {
             checkpoint_every: 2,
-            n_files: 2,
-            n_readers: 2,
-            keep_generations: 4,
             health: HealthConfig::default(),
             respawn_delay_windows: 1,
             max_consecutive_degraded: 4,
             policy: RepairPolicy::ClampToBounds,
-            max_respawns: 4,
             corrupt_flux: Vec::new(),
             storage: None,
             checkpoint_retry: RetryPolicy::default(),
@@ -250,7 +247,7 @@ impl Supervision<'_> {
         poison(esm, side);
         let respawns = &mut self.respawns[side.idx()];
         *respawns += 1;
-        if *respawns > self.scfg.max_respawns {
+        if *respawns > MAX_RESPAWNS {
             return Err(HealthError::RespawnBudgetExhausted {
                 window: abs,
                 rank: side.rank(),
@@ -271,7 +268,7 @@ impl Supervision<'_> {
             let snap = esm.snapshot_side(side);
             let what = format!("window {completed}: {}", side.stem());
             let ring = &mut self.rings[side.idx()];
-            self.report.write_generation(ring, &snap, self.scfg.n_files, &what)
+            self.report.write_generation(ring, &snap, N_FILES, &what)
         });
         self.newest_gen = gens.iter().flatten().fold(self.newest_gen, |a, &g| a.max(g));
         self.gens.push((completed, gens));
@@ -292,8 +289,8 @@ impl Supervision<'_> {
             };
             // Damaged or pruned generations are skipped; recovery walks
             // back to the next common base, exactly like the global ring.
-            let fast = self.rings[0].read_generation(gf, self.scfg.n_readers);
-            let slow = self.rings[1].read_generation(gs, self.scfg.n_readers);
+            let fast = self.rings[0].read_generation(gf, N_READERS);
+            let slow = self.rings[1].read_generation(gs, N_READERS);
             match (fast, slow) {
                 (Ok(sf), Ok(ss)) => {
                     restored = Some((base, [gf, gs][failed.idx()], sf, ss));
@@ -379,8 +376,7 @@ impl CoupledEsm {
         });
 
         let ring = |side: Side| {
-            let keep = scfg.keep_generations;
-            open_ring(&scfg.storage, dir, side.stem(), keep, scfg.checkpoint_retry)
+            open_ring(&scfg.storage, dir, side.stem(), KEEP_GENERATIONS, scfg.checkpoint_retry)
         };
         let mut sup = Supervision {
             scfg,

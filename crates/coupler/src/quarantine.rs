@@ -107,10 +107,6 @@ impl QuarantineGate {
         self.policy
     }
 
-    pub fn declared_bounds(&self) -> &[FieldBounds] {
-        &self.bounds
-    }
-
     /// Interventions recorded so far, in order.
     pub fn events(&self) -> &[QuarantineEvent] {
         &self.events

@@ -17,7 +17,7 @@
 
 use crate::analysis::{AnalysisReport, Certification};
 use crate::ast::{BinOp, Expr, FieldAccess, Intrinsic, LevelIndex, PointIndex, Program};
-use crate::sdfg::{Schedule, Sdfg};
+use crate::sdfg::Sdfg;
 use rayon::prelude::*;
 use std::collections::HashMap;
 
@@ -290,7 +290,6 @@ struct CompiledTasklet {
 pub(crate) struct CompiledState {
     pub(crate) domain: String,
     over_levels: bool,
-    schedule: Schedule,
     /// Unique (relation, slot) pairs resolved once per point.
     idx_lookups: Vec<(String, usize)>,
     loads: Vec<LoadSlot>,
@@ -368,7 +367,6 @@ pub fn compile(sdfg: &Sdfg) -> CompiledSdfg {
             CompiledState {
                 domain: st.map.domain.clone(),
                 over_levels: st.map.over_levels,
-                schedule: st.map.schedule,
                 idx_lookups,
                 loads,
                 tasklets,
@@ -793,27 +791,10 @@ pub(crate) fn run_state_with(
         }
     };
 
-    match st.schedule {
-        Schedule::EntityOuterLevelInner | Schedule::LevelOuterEntityInner => {
-            // Both schedules iterate every (entity, level); the compiled
-            // body is entity-outer (level-inner) — the LevelOuter variant
-            // differs only in traversal order, which does not change
-            // results; we keep entity-outer for the per-point hoisting.
-            for e in 0..n {
-                entity_body(e, &mut regs, &mut idx, &mut stack, data, stats);
-            }
-        }
-        Schedule::Tiled(tile) => {
-            let tile = tile.max(1);
-            let mut start = 0;
-            while start < n {
-                let end = (start + tile).min(n);
-                for e in start..end {
-                    entity_body(e, &mut regs, &mut idx, &mut stack, data, stats);
-                }
-                start = end;
-            }
-        }
+    // Entity-outer, level-inner (column-contiguous streaming; the GPU
+    // layout ICON uses), which is what the per-point hoisting needs.
+    for e in 0..n {
+        entity_body(e, &mut regs, &mut idx, &mut stack, data, stats);
     }
 
     scratch.regs = regs;
@@ -1072,19 +1053,6 @@ mod tests {
         let out = d1.field("out");
         assert_eq!(out.data[1], f1.data[2] - f1.data[0]); // e=0,k=1 interior
         assert_eq!(out.data[0], f1.data[1] - f1.data[0]); // clamped
-    }
-
-    #[test]
-    fn tiled_schedule_matches_untiled() {
-        let prog = parse(EKINH).unwrap();
-        let topo = ring_topology(23);
-        let mut d1 = data(23, 4);
-        let mut d2 = d1.clone();
-        let (opt, _) = gh200_pipeline(&Sdfg::from_program("e", &prog));
-        compile(&opt).run(&topo, &mut d1);
-        let tiled = crate::transforms::set_schedule(&opt, Schedule::Tiled(7));
-        compile(&tiled).run(&topo, &mut d2);
-        assert_eq!(d1, d2);
     }
 
     #[test]

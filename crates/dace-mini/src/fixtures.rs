@@ -12,7 +12,7 @@ use crate::analysis::{AnalysisContext, DiagCode, FieldIo};
 use crate::ast::{Expr, FieldAccess, LevelIndex, PointIndex};
 use crate::loc::Span;
 use crate::parser::parse;
-use crate::sdfg::{MapScope, Schedule, Sdfg, State, Tasklet};
+use crate::sdfg::{MapScope, Sdfg, State, Tasklet};
 
 /// A negative (or warning) fixture for the whole-SDFG verifier.
 pub struct Fixture {
@@ -132,7 +132,6 @@ fn racy_scatter() -> Fixture {
             map: MapScope {
                 domain: "cells".into(),
                 over_levels: true,
-                schedule: Schedule::EntityOuterLevelInner,
                 tasklets: vec![Tasklet {
                     write: target,
                     reads: vec![read.clone()],
@@ -166,7 +165,6 @@ fn scatter_reduction() -> Fixture {
             map: MapScope {
                 domain: "cells".into(),
                 over_levels: true,
-                schedule: Schedule::EntityOuterLevelInner,
                 tasklets: vec![Tasklet {
                     write: target,
                     reads: vec![acc_read.clone(), inp_read.clone()],

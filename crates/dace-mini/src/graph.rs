@@ -74,15 +74,6 @@ impl ShapeSignature {
         }
     }
 
-    /// Names of every data field recorded in the signature — the buffer
-    /// universe a replayed execution can possibly touch. The SDC write-set
-    /// tests use this to prove a flipped buffer either appears here (and
-    /// is covered by the audit's bitwise compare) or is static and owned
-    /// by the quiescence checksums.
-    pub fn field_names(&self) -> Vec<&str> {
-        self.fields.keys().map(String::as_str).collect()
-    }
-
     /// First difference against another signature, for diagnostics.
     fn diff(&self, now: &ShapeSignature) -> String {
         if self.nlev != now.nlev {
@@ -497,7 +488,7 @@ mod tests {
         // statement, and fusion would rightly refuse this one).
         use crate::ast::{Expr, FieldAccess, LevelIndex, PointIndex};
         use crate::loc::Span;
-        use crate::sdfg::{MapScope, Schedule, State, Tasklet};
+        use crate::sdfg::{MapScope, State, Tasklet};
         let acc = |field: &str, point: PointIndex| FieldAccess {
             field: field.to_string(),
             point,
@@ -516,7 +507,6 @@ mod tests {
                 map: MapScope {
                     domain: "cells".to_string(),
                     over_levels: true,
-                    schedule: Schedule::EntityOuterLevelInner,
                     tasklets: vec![
                         Tasklet {
                             write: acc("a", PointIndex::Own),

@@ -10,19 +10,6 @@ use crate::ast::{Expr, FieldAccess, Kernel, Program, Statement};
 use crate::loc::Span;
 use crate::units::UnitDecl;
 
-/// Execution schedule of a map (set by transformation passes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Schedule {
-    /// Entity-outer, level-inner (column-contiguous streaming; the GPU
-    /// layout ICON uses).
-    EntityOuterLevelInner,
-    /// Level-outer, entity-inner (the `_LOOP_EXCHANGE`/vector-machine
-    /// variant in the paper's code excerpt).
-    LevelOuterEntityInner,
-    /// Entity-outer with tiling over entities.
-    Tiled(usize),
-}
-
 /// A tasklet: one assignment with explicit input memlets.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tasklet {
@@ -37,7 +24,6 @@ pub struct Tasklet {
 pub struct MapScope {
     pub domain: String,
     pub over_levels: bool,
-    pub schedule: Schedule,
     /// Tasklets execute sequentially *per point* (fused bodies).
     pub tasklets: Vec<Tasklet>,
 }
@@ -75,7 +61,6 @@ impl Sdfg {
                     map: MapScope {
                         domain: k.domain.clone(),
                         over_levels: stmt_uses_levels(st) || k.uses_levels(),
-                        schedule: Schedule::EntityOuterLevelInner,
                         tasklets: vec![Tasklet {
                             write: st.target.clone(),
                             reads: st.expr.accesses().into_iter().cloned().collect(),
@@ -186,17 +171,6 @@ impl Sdfg {
 
 fn stmt_uses_levels(st: &Statement) -> bool {
     st.expr.uses_levels() || st.target.level != crate::ast::LevelIndex::Surface
-}
-
-/// Convenience: lower a single kernel.
-pub fn lower_kernel(k: &Kernel) -> Sdfg {
-    Sdfg::from_program(
-        k.name.clone(),
-        &Program {
-            kernels: vec![k.clone()],
-            units: vec![],
-        },
-    )
 }
 
 #[cfg(test)]

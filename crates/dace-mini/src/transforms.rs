@@ -9,7 +9,7 @@
 use crate::analysis::{self, AnalysisContext, AnalysisError, DiagCode, Diagnostic, FieldIo};
 use crate::ast::{Expr, FieldAccess, LevelIndex, PointIndex};
 use crate::memlet;
-use crate::sdfg::{Schedule, Sdfg, State, Tasklet};
+use crate::sdfg::{Sdfg, State, Tasklet};
 use std::collections::{HashMap, HashSet};
 
 /// Fuse consecutive states with the same domain whenever the dataflow
@@ -53,16 +53,6 @@ pub fn try_fuse_pair(a: &State, b: &State) -> Result<State, AnalysisError> {
     Ok(merged)
 }
 
-/// Change the execution schedule of every (3-D) map: the loop-reordering
-/// the legacy code did with `#ifdef _LOOP_EXCHANGE` blocks.
-pub fn set_schedule(sdfg: &Sdfg, schedule: Schedule) -> Sdfg {
-    let mut out = sdfg.clone();
-    for st in &mut out.states {
-        st.map.schedule = schedule;
-    }
-    out
-}
-
 /// Report of the index-lookup deduplication pass.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DedupReport {
@@ -93,15 +83,8 @@ pub fn index_dedup_report(sdfg: &Sdfg) -> DedupReport {
 /// lookups (via the compiled executor), stream columns.
 pub fn gh200_pipeline(sdfg: &Sdfg) -> (Sdfg, DedupReport) {
     let fused = fuse_maps(sdfg);
-    let scheduled = set_schedule(&fused, Schedule::EntityOuterLevelInner);
-    let report = index_dedup_report(&scheduled);
-    (scheduled, report)
-}
-
-/// A CPU/vector-machine-targeted variant (level-outer for long inner
-/// entity loops, like the `!$NEC outerloop_unroll` branch of the excerpt).
-pub fn cpu_pipeline(sdfg: &Sdfg) -> Sdfg {
-    set_schedule(&fuse_maps(sdfg), Schedule::LevelOuterEntityInner)
+    let report = index_dedup_report(&fused);
+    (fused, report)
 }
 
 // ------------------------------------------------------------------
@@ -392,10 +375,9 @@ fn rewrite_gathers(e: &Expr, rewrite: &HashMap<GatherKey, (String, LevelIndex)>)
 pub fn gh200_hoisted_pipeline(sdfg: &Sdfg) -> (Sdfg, HoistReport) {
     let fused = fuse_maps(sdfg);
     let (hoisted, mut report) = hoist_gathers(&fused, &HoistOptions::default());
-    let scheduled = set_schedule(&hoisted, Schedule::EntityOuterLevelInner);
     report.lookups_before = sdfg.index_lookups_naive();
-    report.lookups_after = scheduled.index_lookups_deduped();
-    (scheduled, report)
+    report.lookups_after = hoisted.index_lookups_deduped();
+    (hoisted, report)
 }
 
 /// [`gh200_hoisted_pipeline`] plus certification: declares the hoisted
@@ -658,13 +640,5 @@ mod tests {
         );
         let (_, report) = hoist_gathers(&sdfg, &HoistOptions::default());
         assert_eq!(report.transient_names(), vec!["g_f_edge0kh"]);
-    }
-
-    #[test]
-    fn schedules_are_set_without_touching_tasklets() {
-        let sdfg = lower("kernel a over cells x(p,k) = inp(p,k); end");
-        let cpu = cpu_pipeline(&sdfg);
-        assert_eq!(cpu.states[0].map.schedule, Schedule::LevelOuterEntityInner);
-        assert_eq!(cpu.states[0].map.tasklets, sdfg.states[0].map.tasklets);
     }
 }

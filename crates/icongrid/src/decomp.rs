@@ -73,12 +73,6 @@ pub struct PartLayout {
     pub edge_exchange: ExchangePlan,
 }
 
-impl PartLayout {
-    pub fn n_local_cells(&self) -> usize {
-        self.owned_cells.len() + self.halo_cells.len()
-    }
-}
-
 /// A full decomposition of a [`Grid`] into `n_parts` ranks.
 #[derive(Debug, Clone)]
 pub struct Decomposition {
@@ -251,11 +245,6 @@ impl Decomposition {
             .iter()
             .map(|p| p.owned_cells.len() as f64 / ideal)
             .fold(0.0, f64::max)
-    }
-
-    /// Total halo cells across all parts (communication surface).
-    pub fn total_halo_cells(&self) -> usize {
-        self.parts.iter().map(|p| p.halo_cells.len()).sum()
     }
 }
 

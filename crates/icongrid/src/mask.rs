@@ -164,13 +164,6 @@ impl LandSeaMask {
             .filter(|&c| self.is_land[c as usize])
             .collect()
     }
-
-    /// Indices of ocean cells.
-    pub fn ocean_cells(&self) -> Vec<u32> {
-        (0..self.is_land.len() as u32)
-            .filter(|&c| !self.is_land[c as usize])
-            .collect()
-    }
 }
 
 #[cfg(test)]

@@ -208,23 +208,6 @@ pub fn kinetic_energy<G: CGrid>(g: &G, vn: &Field3, out: &mut Field3) {
         });
 }
 
-/// Arithmetic interpolation of a cell scalar to edges.
-pub fn cells_to_edges<G: CGrid>(g: &G, s: &Field3, out: &mut Field3) {
-    let nlev = s.nlev();
-    debug_assert_eq!(out.n(), g.n_edges());
-    out.as_mut_slice()
-        .par_chunks_mut(nlev)
-        .enumerate()
-        .for_each(|(e, col)| {
-            let [c0, c1] = g.edge_cells(e);
-            let s0 = s.col(c0 as usize);
-            let s1 = s.col(c1 as usize);
-            for k in 0..nlev {
-                col[k] = 0.5 * (s0[k] + s1[k]);
-            }
-        });
-}
-
 /// Reconstruct the full tangent-plane velocity vector at each cell center
 /// from the normal components on the cell's three edges, by least squares
 /// (`min_V sum_e (V . n_e - vn_e)^2`, regularized along the radial

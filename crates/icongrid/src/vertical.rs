@@ -67,11 +67,6 @@ impl VerticalGrid {
         let z = self.z_interface[k];
         z + h_s * (-z / self.decay_scale).exp() * (1.0 - z / self.top_height).max(0.0)
     }
-
-    /// Total column depth (m) over flat terrain.
-    pub fn column_depth(&self) -> f64 {
-        self.top_height
-    }
 }
 
 /// Ocean depth levels: `nlev` layers with thickness stretching geometrically

@@ -150,24 +150,6 @@ pub enum OpKind {
     Remove,
 }
 
-impl OpKind {
-    /// Write-class ops are the ones `ENOSPC`, torn writes, and transient
-    /// write errors target.
-    pub fn is_write(self) -> bool {
-        matches!(self, OpKind::Write | OpKind::Append)
-    }
-
-    /// Fsync-class ops are the ones fsync lies target.
-    pub fn is_fsync(self) -> bool {
-        matches!(self, OpKind::Fsync | OpKind::FsyncDir)
-    }
-
-    /// Read-class ops are the ones read failures target.
-    pub fn is_read(self) -> bool {
-        matches!(self, OpKind::Read | OpKind::List)
-    }
-}
-
 /// One recorded operation: global 1-based index, kind, and path(s).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpRecord {

@@ -244,11 +244,6 @@ impl<G: CGrid> LandModel<G> {
     pub fn steps_taken(&self) -> u64 {
         self.steps_taken
     }
-
-    /// Land surface temperature for the coupler (top soil, deg C).
-    pub fn surface_temperature(&self, land_idx: usize) -> f64 {
-        self.state.t_soil.at(land_idx, 0)
-    }
 }
 
 #[cfg(test)]

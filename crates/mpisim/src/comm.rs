@@ -255,12 +255,6 @@ impl Comm {
         self.size
     }
 
-    /// The world rank of local rank `r`.
-    #[inline]
-    pub fn world_rank_of(&self, r: usize) -> usize {
-        self.group[r]
-    }
-
     /// Traffic meter of the world.
     pub fn stats(&self) -> &TrafficStats {
         &self.shared.stats

@@ -1,6 +1,6 @@
 //! Linear equation of state and hydrostatic pressure.
 
-use crate::params::{OceanParams, RHO0};
+use crate::params::OceanParams;
 use icongrid::Field3;
 use rayon::prelude::*;
 
@@ -42,16 +42,6 @@ pub fn hydrostatic_pressure(
 #[inline]
 pub fn unstable(p: &OceanParams, t_up: f64, s_up: f64, t_dn: f64, s_dn: f64) -> bool {
     density_anomaly(p, t_up, s_up) > density_anomaly(p, t_dn, s_dn) + 1e-12
-}
-
-/// Potential energy release proxy; kept for diagnostics.
-pub fn column_density_mean(p: &OceanParams, t: &[f64], s: &[f64]) -> f64 {
-    let n = t.len() as f64;
-    t.iter()
-        .zip(s)
-        .map(|(&tt, &ss)| RHO0 * (1.0 + density_anomaly(p, tt, ss)))
-        .sum::<f64>()
-        / n
 }
 
 #[cfg(test)]

@@ -726,36 +726,6 @@ pub mod prelude {
     }
 }
 
-// Construction escape hatches for code that holds the raw parts (the
-// prelude traits are the normal entry points).
-impl<'a, T> ParIter<'a, T> {
-    pub fn new(s: &'a [T]) -> Self {
-        ParIter { s }
-    }
-}
-
-impl<'a, T> ParIterMut<'a, T> {
-    pub fn new(s: &'a mut [T]) -> Self {
-        ParIterMut { s }
-    }
-}
-
-/// Sequential stand-in for `rayon::join` (kept sequential: the workspace
-/// parallelizes at the iterator level, and a sequential `join` is
-/// trivially deterministic).
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA,
-    B: FnOnce() -> RB,
-{
-    (a(), b())
-}
-
-/// Runs the closure immediately on the calling thread.
-pub fn spawn_inline<F: FnOnce()>(f: F) {
-    f()
-}
-
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
@@ -801,11 +771,5 @@ mod tests {
             }
             assert_eq!(cursor, len, "ranges must cover 0..{len}");
         }
-    }
-
-    #[test]
-    fn join_runs_both() {
-        let (a, b) = super::join(|| 2 + 2, || "ok");
-        assert_eq!((a, b), (4, "ok"));
     }
 }
