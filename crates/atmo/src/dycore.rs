@@ -91,17 +91,16 @@ pub fn montgomery_potential(
         .for_each(|(c, m)| {
             let d = delta.col(c);
             let zs = z_surface[c];
-            // Suffix sum S2_k = sum_{j>=k} delta_j.
+            // Suffix sum S2_k = sum_{j>=k} delta_j, parked in the output.
             let mut s2 = 0.0;
-            let mut suffix = vec![0.0; nlev];
             for k in (0..nlev).rev() {
                 s2 += d[k];
-                suffix[k] = s2;
+                m[k] = s2;
             }
             // Prefix sum of rho-weighted thickness above.
             let mut s1 = 0.0;
             for k in 0..nlev {
-                m[k] = GRAVITY * (zs + s1 / rho[k] + suffix[k]);
+                m[k] = GRAVITY * (zs + s1 / rho[k] + m[k]);
                 s1 += rho[k] * d[k];
             }
         });

@@ -12,7 +12,7 @@
 //!   Table 2 of the paper);
 //! * the **two-time-level predictor-corrector** stepping (explicit
 //!   horizontal dynamics, implicit vertical operators solved by per-column
-//!   tridiagonal sweeps);
+//!   tridiagonal sweeps — `icongrid::column`, shared with land and ocean);
 //! * the `z_ekinh` **kinetic-energy gather kernel** with its neighbor
 //!   index lookups — the DaCe case-study kernel of §5.2;
 //! * halo exchanges after every partial update, tracer transport in flux
@@ -43,7 +43,6 @@ pub mod params;
 pub mod physics;
 pub mod state;
 pub mod tracers;
-pub mod vertical_solve;
 
 pub use model::Atmosphere;
 pub use params::AtmParams;

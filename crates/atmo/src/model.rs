@@ -6,7 +6,7 @@ use crate::params::AtmParams;
 use crate::physics;
 use crate::state::AtmState;
 use crate::tracers;
-use crate::vertical_solve::{implicit_vertical_diffusion, implicit_vertical_diffusion_weighted};
+use icongrid::column::{implicit_diffusion, Layers};
 use icongrid::exchange::Exchange;
 use icongrid::ops::CGrid;
 use icongrid::{Field2, Field3};
@@ -84,10 +84,11 @@ impl<G: CGrid> Atmosphere<G> {
         // --- implicit vertical mixing (column-local, halo-consistent).
         // Momentum: plain diffusion; tracers: mass-weighted so the column
         // inventories (water, carbon) are conserved exactly.
-        implicit_vertical_diffusion(&mut self.state.vn, p.kv_diffusion, dt);
-        implicit_vertical_diffusion_weighted(
+        implicit_diffusion(&mut self.state.vn, Layers::Unit, None, p.kv_diffusion, dt);
+        implicit_diffusion(
             &mut self.state.qv,
-            &self.state.delta,
+            Layers::Mass(&self.state.delta),
+            None,
             p.kv_diffusion,
             dt,
         );

@@ -11,6 +11,9 @@ use icongrid::ops::CGrid;
 use icongrid::Field3;
 use rayon::prelude::*;
 
+/// Most levels [`advect_tracer`]'s per-column stack accumulator holds.
+const MAX_LEVELS: usize = 256;
+
 /// Advance one tracer (mixing ratio `q`, per unit mass) through one step:
 ///
 /// `delta_new * q_new = delta_old * q_old - dt/A * sum_e sign * F_e * q_up`
@@ -28,6 +31,10 @@ pub fn advect_tracer<G: CGrid>(
     q_old: &mut Field3,
 ) {
     let nlev = q.nlev();
+    assert!(
+        nlev <= MAX_LEVELS,
+        "advect_tracer: {nlev} levels (AtmParams::nlev, EsmConfig::atm_levels) exceed the limit of {MAX_LEVELS}"
+    );
     q_old.as_mut_slice().copy_from_slice(q.as_slice());
     let q_prev: &Field3 = q_old;
     q.as_mut_slice()
@@ -41,7 +48,7 @@ pub fn advect_tracer<G: CGrid>(
             let d_new = delta_new.col(c);
             let mine = q_prev.col(c);
             // Accumulate flux divergence of delta*q.
-            let mut acc = [0.0f64; 256];
+            let mut acc = [0.0f64; MAX_LEVELS];
             let acc = &mut acc[..nlev];
             for i in 0..3 {
                 let e = edges[i] as usize;
@@ -119,6 +126,18 @@ mod tests {
             }
         }
         (g, delta_old, delta_new, flux)
+    }
+
+    #[test]
+    #[should_panic(expected = "EsmConfig::atm_levels) exceed the limit of 256")]
+    fn more_levels_than_the_accumulator_holds_is_refused_at_entry() {
+        let g = Grid::build(0, icongrid::EARTH_RADIUS_M);
+        let nlev = MAX_LEVELS + 1;
+        let delta = Field3::from_fn(g.n_cells, nlev, |_, _| 1000.0);
+        let flux = Field3::zeros(g.n_edges, nlev);
+        let mut q = Field3::zeros(g.n_cells, nlev);
+        let mut scratch = Field3::zeros(g.n_cells, nlev);
+        advect_tracer(&g, &flux, &delta, &delta, 200.0, &mut q, &mut scratch);
     }
 
     #[test]

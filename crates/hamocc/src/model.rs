@@ -5,7 +5,7 @@
 use crate::biology::{ecosystem_column, BioParams};
 use crate::carbonate;
 use crate::tracers::{Tracer, N_TRACERS, REDFIELD_C};
-use icongrid::column::implicit_diffusion_dz_masked;
+use icongrid::column::{implicit_diffusion, Layers};
 use icongrid::exchange::Exchange;
 use icongrid::ops::CGrid;
 use icongrid::{Field2, Field3};
@@ -122,7 +122,13 @@ impl<G: CGrid> Hamocc<G> {
             x.cells3_many(&mut refs);
         }
         for tr in self.tracers.iter_mut() {
-            implicit_diffusion_dz_masked(tr, &p.dz, &mask.cell_levels, p.kv_tracer, dt);
+            implicit_diffusion(
+                tr,
+                Layers::Thickness(&p.dz),
+                Some(&mask.cell_levels),
+                p.kv_tracer,
+                dt,
+            );
         }
 
         // --- particle sinking with burial at the sea floor.

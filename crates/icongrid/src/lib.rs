@@ -21,6 +21,8 @@
 //! * [`mask`] — deterministic synthetic Earth-like land–sea masks
 //!   (substitute for observed topography, see DESIGN.md),
 //! * [`field`] — dense column-major field containers,
+//! * [`column`] — the one tridiagonal solver and implicit vertical
+//!   diffusion operator under atmosphere, land, ocean and HAMOCC,
 //! * [`ops`] — discrete C-grid operators (divergence, gradient, curl,
 //!   kinetic-energy gather, vector reconstruction),
 //! * [`decomp`] — space-filling-curve domain decomposition with

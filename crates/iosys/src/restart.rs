@@ -28,8 +28,9 @@
 //!
 //! Variables are distributed round-robin over `n_files` files; reading
 //! opens the files with a stagger (each reader group starts at a different
-//! file), the scheme the paper uses to reach 615 GiB/s. Version-1 files
-//! (no checksums, no shard header) remain readable.
+//! file), the scheme the paper uses to reach 615 GiB/s. Only version 2
+//! is read: an older file carries no checksum, and the restore path hands
+//! back verified state only.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -42,8 +43,6 @@ use crate::vfs::{RealFs, Storage};
 const MAGIC: &[u8; 4] = b"ESMR";
 const TRAILER_MAGIC: &[u8; 4] = b"RMSE";
 const VERSION: u32 = 2;
-/// Oldest on-disk version the reader still understands.
-const MIN_VERSION: u32 = 1;
 
 /// A named collection of state variables — the unit of checkpointing.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -198,10 +197,10 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// One parsed shard: `(file_index, n_files)` if the file declares them
-/// (v2), plus its variable records in file order.
+/// One parsed shard: the `(file_index, n_files)` it declares, plus its
+/// variable records in file order.
 struct ParsedFile {
-    shard: Option<(usize, usize)>,
+    shard: (usize, usize),
     vars: Vec<(String, Vec<f64>)>,
 }
 
@@ -216,47 +215,41 @@ fn parse_file(path: &Path, bytes: &[u8]) -> Result<ParsedFile, RestartError> {
         });
     }
     let version = c.u32("version")?;
-    if !(MIN_VERSION..=VERSION).contains(&version) {
+    if version != VERSION {
         return Err(RestartError::UnsupportedVersion {
             path: path.to_path_buf(),
             version,
         });
     }
 
-    // v2 carries the shard header and is fully checksummed; verify the
-    // file-level CRC up front so any damage — header, records, trailer —
-    // is caught even if record parsing would happen to succeed.
-    let shard = if version >= 2 {
-        let fi = c.u32("file index")? as usize;
-        let nf = c.u32("file count")? as usize;
-        if nf == 0 || fi >= nf {
-            return Err(RestartError::Corrupt {
-                path: path.to_path_buf(),
-                context: format!("shard index {fi} out of range for {nf} file(s)"),
-            });
-        }
-        if bytes.len() < 8 || &bytes[bytes.len() - 4..] != TRAILER_MAGIC {
-            return Err(RestartError::Truncated {
-                path: path.to_path_buf(),
-                context: "file trailer",
-            });
-        }
-        let trailer = bytes.len() - 8;
-        let stored = u32::from_le_bytes(bytes[trailer..trailer + 4].try_into().unwrap());
-        let computed = crc32(&bytes[..trailer]);
-        if stored != computed {
-            return Err(RestartError::ChecksumMismatch {
-                path: path.to_path_buf(),
-                var: None,
-                stored,
-                computed,
-            });
-        }
-        Some((fi, nf))
-    } else {
-        None
-    };
-    let body_end = if shard.is_some() { bytes.len() - 8 } else { bytes.len() };
+    // The file is fully checksummed; verify the file-level CRC up front
+    // so any damage — header, records, trailer — is caught even if record
+    // parsing would happen to succeed.
+    let fi = c.u32("file index")? as usize;
+    let nf = c.u32("file count")? as usize;
+    if nf == 0 || fi >= nf {
+        return Err(RestartError::Corrupt {
+            path: path.to_path_buf(),
+            context: format!("shard index {fi} out of range for {nf} file(s)"),
+        });
+    }
+    if bytes.len() < 8 || &bytes[bytes.len() - 4..] != TRAILER_MAGIC {
+        return Err(RestartError::Truncated {
+            path: path.to_path_buf(),
+            context: "file trailer",
+        });
+    }
+    let body_end = bytes.len() - 8;
+    let stored = u32::from_le_bytes(bytes[body_end..body_end + 4].try_into().unwrap());
+    let computed = crc32(&bytes[..body_end]);
+    if stored != computed {
+        return Err(RestartError::ChecksumMismatch {
+            path: path.to_path_buf(),
+            var: None,
+            stored,
+            computed,
+        });
+    }
 
     let nvars = c.u32("variable count")? as usize;
     // A record is at least 16 bytes; a count that cannot fit is corrupt
@@ -295,17 +288,15 @@ fn parse_file(path: &Path, bytes: &[u8]) -> Result<ParsedFile, RestartError> {
             .chunks_exact(8)
             .map(|b| f64::from_le_bytes(b.try_into().unwrap()))
             .collect();
-        if version >= 2 {
-            let computed = crc32(&bytes[record_start..c.pos]);
-            let stored = c.u32("variable checksum")?;
-            if stored != computed {
-                return Err(RestartError::ChecksumMismatch {
-                    path: path.to_path_buf(),
-                    var: Some(name),
-                    stored,
-                    computed,
-                });
-            }
+        let computed = crc32(&bytes[record_start..c.pos]);
+        let stored = c.u32("variable checksum")?;
+        if stored != computed {
+            return Err(RestartError::ChecksumMismatch {
+                path: path.to_path_buf(),
+                var: Some(name),
+                stored,
+                computed,
+            });
         }
         vars.push((name, data));
     }
@@ -320,7 +311,7 @@ fn parse_file(path: &Path, bytes: &[u8]) -> Result<ParsedFile, RestartError> {
         });
     }
 
-    Ok(ParsedFile { shard, vars })
+    Ok(ParsedFile { shard: (fi, nf), vars })
 }
 
 /// Read a multi-file checkpoint back. `n_readers` groups open the files
@@ -389,11 +380,7 @@ pub fn read_checkpoint_with(
     for &fi in order.iter().take(n) {
         let bytes = storage.read(&files[fi])?;
         let parsed = parse_file(&files[fi], &bytes)?;
-        // v2 files name their shard; v1 falls back to sorted position.
-        let (shard_index, shard_count) = match parsed.shard {
-            Some((s, c)) => (s, c),
-            None => (fi, n),
-        };
+        let (shard_index, shard_count) = parsed.shard;
         if let Some(prev) = declared_n_files {
             if prev != shard_count {
                 return Err(RestartError::Corrupt {
@@ -851,9 +838,10 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
-    /// Old v1 files (no shard header, no checksums) still read back.
+    /// Old v1 files (no shard header, no checksums) are refused: nothing
+    /// in them can be verified.
     #[test]
-    fn v1_files_remain_readable() {
+    fn v1_files_are_refused_as_unsupported() {
         let dir = scratch_dir("v1");
         fs::create_dir_all(&dir).unwrap();
         let snap = sample();
@@ -880,8 +868,10 @@ mod tests {
             }
             fs::write(dir.join(format!("restart_{f:03}.esmr")), &out).unwrap();
         }
-        let back = read_checkpoint(&dir, "restart", 2).unwrap();
-        assert_eq!(back, snap);
+        assert!(matches!(
+            read_checkpoint(&dir, "restart", 2),
+            Err(RestartError::UnsupportedVersion { version: 1, .. })
+        ));
         fs::remove_dir_all(&dir).ok();
     }
 

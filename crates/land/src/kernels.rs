@@ -8,7 +8,8 @@
 //! subsequent steps *replay* it: the dispatch sequence is checked against
 //! the recording (CUDA graphs replay "exactly the same way") and only one
 //! graph-launch is counted. The measured counts drive
-//! [`machine::graphs`](../machine) and the `land_kernels` bench.
+//! [`machine::graphs`](../machine) and the `land.kernels_per_step` row of
+//! `perf/`.
 
 /// Launch mode, mirroring OpenACC kernels vs CUDA-graph replay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,9 +107,8 @@ impl LaunchRecorder {
         }
     }
 
-    /// Kernels per recorded step (available after the first step in Graph
-    /// mode, or as a running average in Individual mode given the step
-    /// count).
+    /// Kernels per recorded step: the length of the recording after the
+    /// first step in Graph mode; 0 in Individual mode, which records none.
     pub fn kernels_per_step(&self) -> usize {
         if self.mode == LaunchMode::Graph {
             self.recording.len()

@@ -10,7 +10,7 @@
 //! deliberately structured as many small per-process, per-PFT kernels
 //! routed through a [`kernels::LaunchRecorder`], which is what makes the
 //! CUDA-graph replay optimization measurable (machine model + the
-//! `land_kernels` bench).
+//! `land.kernels_per_step` row of `perf/`).
 //!
 //! Carbon discipline: every flux is an explicit transfer between pools or
 //! an exchange with the atmosphere accumulated in `nee_acc`, so total

@@ -2,7 +2,7 @@
 //! bucket hydrology with runoff.
 
 use crate::params::{LandParams, N_SOIL};
-use icongrid::column::implicit_diffusion_dz;
+use icongrid::column::{implicit_diffusion, Layers};
 use icongrid::Field3;
 use rayon::prelude::*;
 
@@ -27,7 +27,13 @@ pub fn soil_temperature_step(
         .for_each(|(col, &ta)| {
             col[0] += (ta - col[0]) * w.min(1.0);
         });
-    implicit_diffusion_dz(t_soil, &p.soil_dz, p.soil_kappa, p.dt);
+    implicit_diffusion(
+        t_soil,
+        Layers::Thickness(&p.soil_dz),
+        None,
+        p.soil_kappa,
+        p.dt,
+    );
 }
 
 /// Freeze/thaw exchange between liquid and frozen soil water, limited by

@@ -7,7 +7,7 @@ use crate::eos;
 use crate::params::{OceanMask, OceanParams, CP_OCEAN, RHO0};
 use crate::seaice;
 use crate::state::OceanState;
-use icongrid::column::implicit_diffusion_dz_masked;
+use icongrid::column::{implicit_diffusion, Layers};
 use icongrid::exchange::Exchange;
 use icongrid::ops::{self, CGrid};
 use icongrid::{Field2, Field3};
@@ -148,10 +148,10 @@ impl<Gr: CGrid> Ocean<Gr> {
                     col[k] = v;
                 }
             });
-        implicit_diffusion_dz_masked(
+        implicit_diffusion(
             &mut self.vn_star,
-            &p.dz,
-            &mask.edge_levels,
+            Layers::Thickness(&p.dz),
+            Some(&mask.edge_levels),
             p.kv_momentum,
             dt,
         );
@@ -250,17 +250,17 @@ impl<Gr: CGrid> Ocean<Gr> {
         }
 
         // --- vertical mixing and convective adjustment.
-        implicit_diffusion_dz_masked(
+        implicit_diffusion(
             &mut self.state.temp,
-            &p.dz,
-            &mask.cell_levels,
+            Layers::Thickness(&p.dz),
+            Some(&mask.cell_levels),
             p.kv_tracer,
             dt,
         );
-        implicit_diffusion_dz_masked(
+        implicit_diffusion(
             &mut self.state.salt,
-            &p.dz,
-            &mask.cell_levels,
+            Layers::Thickness(&p.dz),
+            Some(&mask.cell_levels),
             p.kv_tracer,
             dt,
         );
@@ -321,6 +321,9 @@ impl<Gr: CGrid> Ocean<Gr> {
     }
 }
 
+/// Most levels [`advect_tracer_3d`]'s per-column stack accumulator holds.
+const MAX_LEVELS: usize = 128;
+
 /// Horizontal (upwind, flux-form) + vertical (upwind with diagnosed `w`)
 /// advection of one cell tracer on the masked grid. Conserves the global
 /// tracer inventory to round-off (fluxes telescope; no flux through the
@@ -337,6 +340,10 @@ pub fn advect_tracer_3d<Gr: CGrid>(
     tracer_old: &mut Field3,
 ) {
     let nlev = p.nlev;
+    assert!(
+        nlev <= MAX_LEVELS,
+        "advect_tracer_3d: {nlev} levels (OceanParams::nlev, EsmConfig::oce_levels) exceed the limit of {MAX_LEVELS}"
+    );
     tracer_old.as_mut_slice().copy_from_slice(tr.as_slice());
     let old: &Field3 = tracer_old;
     tr.as_mut_slice()
@@ -352,7 +359,7 @@ pub fn advect_tracer_3d<Gr: CGrid>(
             let signs = g.cell_edge_sign(c);
             let mine = old.col(c);
             // Horizontal upwind fluxes (dz cancels at fixed levels).
-            let mut acc = [0.0f64; 128];
+            let mut acc = [0.0f64; MAX_LEVELS];
             let acc = &mut acc[..nlev];
             for i in 0..3 {
                 let e = edges[i] as usize;
@@ -441,6 +448,19 @@ mod tests {
             })
             .collect();
         Ocean::new(g, p, &bathy)
+    }
+
+    #[test]
+    #[should_panic(expected = "EsmConfig::oce_levels) exceed the limit of 128")]
+    fn more_levels_than_the_accumulator_holds_is_refused_at_entry() {
+        let g = Grid::build(0, icongrid::EARTH_RADIUS_M);
+        let p = OceanParams::new(MAX_LEVELS + 1, 600.0);
+        let mask = OceanMask::from_bathymetry(&g, &p, &vec![3500.0; g.n_cells]);
+        let vn = Field3::zeros(g.n_edges, p.nlev);
+        let w = Field3::zeros(g.n_cells, p.nlev + 1);
+        let mut tr = Field3::zeros(g.n_cells, p.nlev);
+        let mut old = Field3::zeros(g.n_cells, p.nlev);
+        advect_tracer_3d(&g, &mask, &p, &vn, &w, 600.0, &mut tr, &mut old);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! storage fault model (DESIGN.md §11).
 
 use dace_mini::{analysis, exec, parser, sdfg::Sdfg, suite, transforms, ExecGraph, GraphInvalid};
-use icongrid::column::thomas_solve;
+use icongrid::column::{implicit_diffusion, thomas_solve, Layers};
 use icongrid::geom::Vec3;
 use icongrid::{ops, Decomposition, Field3, Grid};
 use proptest::prelude::*;
@@ -175,6 +175,83 @@ proptest! {
             if i > 0 { acc += a[i] * x[i - 1]; }
             if i + 1 < n { acc += c[i] * x[i + 1]; }
             prop_assert!((acc - rhs[i]).abs() < 1e-9, "row {} residual {}", i, acc - rhs[i]);
+        }
+    }
+
+    /// The one column-diffusion kernel equals, bit for bit, the four
+    /// bodies it replaced — explicit `a/b/c` rows handed to `thomas_solve`
+    /// — in each argument shape, conserves `sum_k mass_k x_k`, and leaves
+    /// levels at and below `active` alone.
+    #[test]
+    fn column_diffusion_matches_the_explicit_tridiagonal_bitwise(
+        nlev in 2usize..41,
+        ncol in 1usize..150,
+        seed in 0u64..10_000,
+    ) {
+        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
+        let mut rnd = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let (kappa, dt) = (1e-4 + rnd() * 1e-2, 100.0 + rnd() * 1e4);
+        let mut init = Field3::zeros(ncol, nlev);
+        init.as_mut_slice().iter_mut().for_each(|x| *x = rnd() * 40.0 - 20.0);
+        let mut delta = Field3::zeros(ncol, nlev);
+        delta.as_mut_slice().iter_mut().for_each(|d| *d = 0.5 + rnd() * 200.0);
+        let dz: Vec<f64> = (0..nlev).map(|_| 1.0 + rnd() * 300.0).collect();
+        let ones = vec![1.0; nlev];
+        let active: Vec<u16> = (0..ncol).map(|_| (rnd() * (nlev + 1) as f64) as u16).collect();
+
+        for shape in 0..4 {
+            let (layers, prefix) = match shape {
+                0 => (Layers::Unit, None),
+                1 => (Layers::Mass(&delta), None),
+                2 => (Layers::Thickness(&dz), None),
+                _ => (Layers::Thickness(&dz), Some(&active[..])),
+            };
+            let mut got = init.clone();
+            implicit_diffusion(&mut got, layers, prefix, kappa, dt);
+            for i in 0..ncol {
+                let n = prefix.map_or(nlev, |a| a[i] as usize);
+                // Masses and interface couplings spelled as the old bodies did.
+                let k_ex = kappa * dt * (delta.col(i).iter().sum::<f64>() / nlev as f64);
+                let (mass, coupling): (&[f64], &dyn Fn(usize) -> f64) = match shape {
+                    0 => (&ones, &|_| kappa * dt),
+                    1 => (delta.col(i), &|_| k_ex),
+                    _ => (&dz, &|k| kappa * dt / (0.5 * (dz[k] + dz[k + 1]))),
+                };
+                // Levels from `n` down keep their initial value in `want`.
+                let mut want = init.col(i).to_vec();
+                if n >= 2 {
+                    let (mut a, mut b, mut c) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+                    for k in 0..n {
+                        let lower = if k > 0 { coupling(k - 1) } else { 0.0 };
+                        let upper = if k + 1 < n { coupling(k) } else { 0.0 };
+                        a[k] = -lower;
+                        c[k] = -upper;
+                        b[k] = mass[k] + lower + upper;
+                        want[k] *= mass[k];
+                    }
+                    thomas_solve(&a, &b, &c, &mut want[..n], &mut vec![0.0; n]);
+                }
+                for (k, (g, w)) in got.col(i).iter().zip(&want).enumerate() {
+                    prop_assert_eq!(
+                        g.to_bits(), w.to_bits(),
+                        "shape {} column {} level {}: {} vs {}", shape, i, k, g, w
+                    );
+                }
+                let inventory = |f: &Field3| -> f64 {
+                    f.col(i)[..n].iter().zip(mass).map(|(x, m)| x * m).sum()
+                };
+                let (before, after) = (inventory(&init), inventory(&got));
+                let scale: f64 = init.col(i)[..n].iter().zip(mass).map(|(x, m)| (x * m).abs()).sum();
+                prop_assert!(
+                    (before - after).abs() <= 1e-11 * scale.max(1.0),
+                    "shape {} column {}: inventory {} -> {}", shape, i, before, after
+                );
+            }
         }
     }
 
