@@ -568,13 +568,10 @@ pub fn resilience() -> Value {
     use esm_core::{CoupledEsm, EsmConfig, HealthConfig, SupervisorConfig};
     use mpisim::FaultPlan;
     use std::sync::Arc;
-    use std::time::Duration;
 
     println!("\n== Resilience: supervised chaos runs (tiny config) ==");
     let scfg = SupervisorConfig {
         health: HealthConfig {
-            beat_timeout: Duration::from_millis(50),
-            hang_hold: Duration::from_millis(75),
             suspicion_threshold: 2,
         },
         ..SupervisorConfig::default()
@@ -925,7 +922,6 @@ pub fn protocol() -> Value {
     use esm_core::{CoupledEsm, EsmConfig, HealthConfig, ResilienceConfig, SupervisorConfig};
     use mpisim::{FaultAction, FaultPlan};
     use std::sync::Arc;
-    use std::time::Duration;
 
     println!("\n== Protocol: static spec verification + live trace conformance ==");
     let specs: Vec<Value> = esm_core::protocolspec::all_specs()
@@ -992,10 +988,7 @@ pub fn protocol() -> Value {
         ),
     ] {
         let dir = scratch(&tag.replace('/', "_"));
-        let rcfg = ResilienceConfig {
-            recv_timeout: Duration::from_millis(80),
-            ..ResilienceConfig::default()
-        };
+        let rcfg = ResilienceConfig::default();
         let mut esm = CoupledEsm::new(EsmConfig::tiny());
         let report = esm
             .run_windows_resilient(windows, false, &dir, &rcfg, plan)
@@ -1006,8 +999,6 @@ pub fn protocol() -> Value {
     // Supervised driver (heartbeat protocol): the chaos-matrix modes.
     let scfg = SupervisorConfig {
         health: HealthConfig {
-            beat_timeout: Duration::from_millis(50),
-            hang_hold: Duration::from_millis(75),
             suspicion_threshold: 2,
         },
         ..SupervisorConfig::default()

@@ -16,16 +16,13 @@
 //! [`crate::ResilienceReport`].
 
 use mpisim::BeatStatus;
-use std::time::Duration;
 
-/// Tuning of the failure detector and its heartbeat transport.
+/// Tuning of the failure detector. Its heartbeat transport has no
+/// deadline to tune: a beat is missed when the round's world goes
+/// quiescent without it (the rule in [`mpisim::comm`]), so a hung rank's
+/// silence is seen as soon as every other rank is done.
 #[derive(Debug, Clone, Copy)]
 pub struct HealthConfig {
-    /// Monitor-side deadline for one beat.
-    pub beat_timeout: Duration,
-    /// How long a hung rank may block one round (see
-    /// [`mpisim::BeatConfig::hang_hold`]).
-    pub hang_hold: Duration,
     /// Consecutive missed beats before a rank is declared failed.
     pub suspicion_threshold: u32,
 }
@@ -33,19 +30,7 @@ pub struct HealthConfig {
 impl Default for HealthConfig {
     fn default() -> HealthConfig {
         HealthConfig {
-            beat_timeout: Duration::from_millis(60),
-            hang_hold: Duration::from_millis(90),
             suspicion_threshold: 2,
-        }
-    }
-}
-
-impl HealthConfig {
-    /// The transport half of this config, for [`mpisim::heartbeat_round`].
-    pub fn beat(&self) -> mpisim::BeatConfig {
-        mpisim::BeatConfig {
-            timeout: self.beat_timeout,
-            hang_hold: self.hang_hold,
         }
     }
 }
@@ -280,23 +265,17 @@ impl FailureDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpisim::{heartbeat_round, CommError, FaultPlan};
+    use mpisim::{heartbeat_round, BeatConfig, CommError, FaultPlan};
     use std::sync::Arc;
 
     fn cfg(threshold: u32) -> HealthConfig {
         HealthConfig {
             suspicion_threshold: threshold,
-            ..HealthConfig::default()
         }
     }
 
     fn miss() -> BeatStatus {
-        BeatStatus::Missed(CommError::Timeout {
-            src: 1,
-            tag: 0,
-            waited: Duration::from_millis(1),
-            attempts: 1,
-        })
+        BeatStatus::Missed(CommError::Timeout { src: 1, tag: 0 })
     }
 
     fn ok() -> BeatStatus {
@@ -346,7 +325,8 @@ mod tests {
         let payloads: Vec<Vec<f64>> = (0..3).map(|r| vec![r as f64]).collect();
         let mut declared_at = None;
         for w in 1..=3u64 {
-            let statuses = heartbeat_round(3, w, &hc.beat(), Some(&plan), &down, &payloads);
+            let statuses =
+                heartbeat_round(3, w, &BeatConfig::default(), Some(&plan), &down, &payloads);
             let verdicts = d.observe(w, &statuses);
             assert_eq!(verdicts[1], Verdict::Healthy);
             if verdicts[2] == Verdict::NewlyFailed {
@@ -363,15 +343,20 @@ mod tests {
     #[test]
     fn hangs_are_detected_without_killing_the_rank() {
         let hc = HealthConfig {
-            beat_timeout: Duration::from_millis(40),
-            hang_hold: Duration::from_millis(60),
             suspicion_threshold: 2,
         };
         let plan = Arc::new(FaultPlan::new().hang(1, 1));
         let mut d = FailureDetector::new(3, &hc);
         let payloads: Vec<Vec<f64>> = (0..3).map(|_| vec![0.0]).collect();
         for w in 1..=2u64 {
-            let statuses = heartbeat_round(3, w, &hc.beat(), Some(&plan), &[false; 3], &payloads);
+            let statuses = heartbeat_round(
+                3,
+                w,
+                &BeatConfig::default(),
+                Some(&plan),
+                &[false; 3],
+                &payloads,
+            );
             d.observe(w, &statuses);
         }
         assert!(d.is_failed(1), "a persistent hang must cross the threshold");

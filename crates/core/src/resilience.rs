@@ -21,10 +21,12 @@
 //! The **guard** is a genuinely distributed health check: `guard_ranks`
 //! mpisim rank-threads each scan a shard of the snapshot for non-finite or
 //! out-of-range values and report to rank 0 over fault-injectable
-//! point-to-point messages with [`mpisim::Comm::recv_timeout`]; rank 0
+//! point-to-point messages with [`mpisim::Comm::recv_deadline`]; rank 0
 //! broadcasts the verdict. A dropped partial, a corrupted payload, or a
 //! killed rank therefore surfaces exactly like it would on a cluster — as
-//! a timeout or checksum failure — and triggers rollback, not a hang.
+//! a timeout or checksum failure — and triggers rollback, not a hang. A
+//! receive times out only when the guard's world is quiescent (the rule
+//! in [`mpisim::comm`]), so a merely slow rank never causes a rollback.
 //!
 //! Because every model state variable lives in the snapshot (the restart
 //! tests prove bit-exactness) and injected faults are one-shot, a replay
@@ -44,7 +46,6 @@ use iosys::{
 use mpisim::{CommError, FaultPlan, World};
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Tuning knobs for the resilient driver.
 #[derive(Debug, Clone)]
@@ -57,8 +58,6 @@ pub struct ResilienceConfig {
     pub n_readers: usize,
     /// Rank-threads in the distributed blow-up guard (>= 2).
     pub guard_ranks: usize,
-    /// Per-message receive deadline inside the guard.
-    pub recv_timeout: Duration,
     /// Rollback attempts for one window before giving up.
     pub max_retries_per_window: u32,
     /// Chaos hook: flip one byte in the first shard of these generation
@@ -110,7 +109,6 @@ impl Default for ResilienceConfig {
             n_files: 3,
             n_readers: 2,
             guard_ranks: 3,
-            recv_timeout: Duration::from_millis(150),
             max_retries_per_window: 3,
             corrupt_generations: Vec::new(),
             storage: None,
@@ -404,7 +402,6 @@ fn distributed_guard(
     let vars = &snapshot.vars;
     let partial_tag = window * 2;
     let verdict_tag = window * 2 + 1;
-    let timeout = rcfg.recv_timeout;
     let bounds_vec: Vec<(f64, f64)> = vars
         .iter()
         .map(|(name, _)| guard_bounds(name))
@@ -425,7 +422,7 @@ fn distributed_guard(
             let mut worst = mine;
             let mut comm_err = None;
             for r in 1..n {
-                match comm.recv_timeout(r, partial_tag, timeout) {
+                match comm.recv_deadline(r, partial_tag) {
                     Ok(p) if p.len() == 3 => {
                         if p[0] != 0.0 && worst[0] == 0.0 {
                             worst = [p[0], p[1], p[2]];
@@ -443,7 +440,7 @@ fn distributed_guard(
             }
             let failed = comm_err.is_some() || worst[0] != 0.0;
             // Always broadcast a verdict, even on failure, so healthy
-            // ranks exit promptly instead of waiting out their timeouts.
+            // ranks are answered instead of timing out.
             for r in 1..n {
                 comm.send(r, verdict_tag, &[if failed { 1.0 } else { 0.0 }]);
             }
@@ -460,7 +457,7 @@ fn distributed_guard(
         } else {
             comm.send(0, partial_tag, &mine);
             let verdict = comm
-                .recv_timeout(0, verdict_tag, timeout)
+                .recv_deadline(0, verdict_tag)
                 .map_err(GuardFail::Comm)?;
             // A failure verdict is rank 0's error to report; this rank
             // merely acknowledges it.
@@ -862,11 +859,11 @@ mod tests {
     use super::*;
     use crate::config::EsmConfig;
     use iosys::restart::scratch_dir;
+    use std::time::Duration;
 
     fn quick_rcfg() -> ResilienceConfig {
         ResilienceConfig {
             guard_ranks: 3,
-            recv_timeout: Duration::from_millis(60),
             ..ResilienceConfig::default()
         }
     }

@@ -433,7 +433,7 @@ impl CoupledEsm {
             let (statuses, traces) = heartbeat_round_traced(
                 3,
                 abs,
-                &scfg.health.beat(),
+                &mpisim::BeatConfig::default(),
                 sup.plan.as_ref(),
                 &down_ranks,
                 &payloads,
@@ -580,8 +580,6 @@ mod tests {
     fn quick_scfg() -> SupervisorConfig {
         SupervisorConfig {
             health: HealthConfig {
-                beat_timeout: Duration::from_millis(50),
-                hang_hold: Duration::from_millis(75),
                 suspicion_threshold: 2,
             },
             ..SupervisorConfig::default()

@@ -8,12 +8,12 @@
 //! balance is right.
 //!
 //! Everything at the coupling boundary fails *typed*: a missing field, a
-//! peer that died mid-run, a missed exchange deadline, or an exhausted
-//! degraded-mode budget all surface as [`FluxError`] instead of a panic,
-//! so a supervisor can decide between degraded continuation and abort.
+//! peer that died mid-run, or an exhausted degraded-mode budget all
+//! surface as [`FluxError`] instead of a panic, so a supervisor can decide
+//! between degraded continuation and abort.
 
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
-use std::time::{Duration, Instant};
+use crossbeam::channel::{bounded, Receiver, Sender};
+use std::time::Instant;
 
 /// Typed failure at the coupling boundary.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,8 +47,6 @@ pub enum FluxError {
         consecutive: u32,
         budget: u32,
     },
-    /// The peer's fluxes did not arrive before the exchange deadline.
-    Deadline { window: u64, waited: Duration },
     /// The peer side is gone (its endpoint was dropped mid-run).
     PeerClosed { window: u64 },
 }
@@ -85,9 +83,6 @@ impl std::fmt::Display for FluxError {
                 f,
                 "window {window}: {consecutive} consecutive degraded windows exceed budget {budget}"
             ),
-            FluxError::Deadline { window, waited } => {
-                write!(f, "window {window}: coupling deadline missed after {waited:?}")
-            }
             FluxError::PeerClosed { window } => {
                 write!(f, "window {window}: peer coupling endpoint closed")
             }
@@ -166,26 +161,6 @@ impl Endpoint {
         self.stats.wait_s += t0.elapsed().as_secs_f64();
         self.stats.exchanges += 1;
         Ok(f)
-    }
-
-    /// Like [`Endpoint::recv`] but bounded by a coupling-window deadline:
-    /// a peer that is merely slow is waited for, a peer that is hung or
-    /// dead surfaces as [`FluxError::Deadline`] so the caller can degrade
-    /// instead of stalling forever.
-    pub fn recv_deadline(&mut self, window: u64, deadline: Duration) -> Result<FluxSet, FluxError> {
-        let t0 = Instant::now();
-        match self.rx.recv_timeout(deadline) {
-            Ok(f) => {
-                self.stats.wait_s += t0.elapsed().as_secs_f64();
-                self.stats.exchanges += 1;
-                Ok(f)
-            }
-            Err(RecvTimeoutError::Timeout) => Err(FluxError::Deadline {
-                window,
-                waited: t0.elapsed(),
-            }),
-            Err(RecvTimeoutError::Disconnected) => Err(FluxError::PeerClosed { window }),
-        }
     }
 }
 
@@ -378,17 +353,6 @@ mod tests {
         assert_eq!(a.recv(0).unwrap(), fb);
         assert_eq!(a.stats.exchanges, 1);
         assert_eq!(b.stats.exchanges, 1);
-    }
-
-    #[test]
-    fn recv_deadline_times_out_typed_on_a_silent_peer() {
-        let (mut a, _b) = endpoint_pair();
-        match a.recv_deadline(3, Duration::from_millis(20)) {
-            Err(FluxError::Deadline { window: 3, waited }) => {
-                assert!(waited >= Duration::from_millis(20));
-            }
-            other => panic!("expected deadline error, got {other:?}"),
-        }
     }
 
     #[test]

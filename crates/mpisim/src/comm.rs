@@ -1,16 +1,43 @@
-//! Ranks, communicators, point-to-point messaging, and communicator
-//! splitting.
+//! Ranks, communicators, point-to-point messaging, collectives, and the
+//! world scheduler that decides when a wait is given up.
+//!
+//! Every rank of a [`World`] is a thread. Everything the ranks share —
+//! inboxes, duplicate-suppression sets, trace rings, per-edge sequence
+//! counters, delayed messages and in-progress collectives — sits behind
+//! one mutex with one condvar. A rank that cannot proceed *parks*: a
+//! receive with no matching message, or a collective some member has not
+//! reached yet. Whoever lets a parked rank proceed wakes it under the
+//! lock — a send that matches its receive, or the last member arriving
+//! at its collective — and a rank's exit (return or panic) takes it out
+//! of the running set for good.
+//!
+//! # The quiescence rule
+//!
+//! There is no clock. When no rank is running, the world is *quiescent*,
+//! and the scheduler takes the first of these steps that lets a rank run
+//! again:
+//!
+//! 1. messages held back by [`FaultAction::Delay`] are delivered;
+//! 2. otherwise every parked deadline receive ([`Comm::recv_deadline`])
+//!    returns [`CommError::Timeout`];
+//! 3. otherwise every parked blocking receive returns
+//!    [`CommError::ProtocolHang`], or, if none is parked, every parked
+//!    collective panics naming its communicator: it can never complete.
+//!
+//! This is the order in which [`crate::verify`]'s abstract scheduler
+//! resolves a stuck configuration, so "a deadline receive expires" means
+//! the same to the static verifier as at run time: only when nothing
+//! else in the world can advance. A peer that is merely slow (a
+//! descheduled thread) is always waited for, and no outcome depends on
+//! how the host schedules threads. Collectives fold their contributions
+//! in local-rank order, so a reduction's rounding does not either.
 
-use crate::collective::{combine_max, combine_min, combine_sum, CollectiveCtx};
 use crate::fault::{msg_checksum, CommError, FaultAction, FaultPlan};
 use crate::protocol::{CollOp, RankTrace, TraceOp};
 use crate::stats::TrafficStats;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
-use std::cell::RefCell;
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// A point-to-point message. Payloads are `f64` vectors — every field and
 /// flux in the model is `f64`, and the traffic meter charges 8 bytes per
@@ -26,71 +53,196 @@ struct Message {
     data: Vec<f64>,
 }
 
-/// Shared state of a world: one collective context per communicator
-/// (created lazily on `split`), the traffic meter, per-edge sequence
-/// counters, and the optional fault plan.
-struct WorldShared {
-    stats: Arc<TrafficStats>,
-    /// Communicator registry: `(parent namespace, split series, color) ->
-    /// context`.
-    split_ctx: Mutex<HashMap<(u64, u64, i64), Arc<CollectiveCtx>>>,
+/// What a parked rank waits for.
+#[derive(Debug, Clone, Copy)]
+enum Wait {
+    /// A message from world rank `src` with namespaced `tag`; `deadline`
+    /// marks a [`Comm::recv_deadline`].
+    Recv { src: usize, tag: u64, deadline: bool },
+    /// The other members of a collective.
+    Collective,
+}
+
+impl Wait {
+    /// When the quiescence rule gives this wait up, lowest first: the
+    /// step number, with collectives after blocking receives in step 3.
+    fn expiry_order(self) -> u8 {
+        match self {
+            Wait::Recv { deadline: true, .. } => 2,
+            Wait::Recv { deadline: false, .. } => 3,
+            Wait::Collective => 4,
+        }
+    }
+}
+
+/// How the scheduler ended a wait that no message ended.
+enum Wake {
+    /// The collective completed with this result.
+    Reduced(Vec<f64>),
+    /// The world went quiescent and the wait was given up.
+    Expired,
+}
+
+/// One rank's share of the world state.
+#[derive(Default)]
+struct RankSlot {
+    /// Arrived messages not yet received, in arrival order.
+    inbox: VecDeque<Message>,
+    /// `(src, seq)` pairs already delivered, for duplicate suppression.
+    delivered: HashSet<(usize, u64)>,
+    /// The rank's message trace (always-on, bounded ring).
+    trace: RankTrace,
+    /// Split series counter, shared by every communicator of the rank.
+    splits: u64,
+    /// `Some` while the rank is parked.
+    wait: Option<Wait>,
+    wake: Option<Wake>,
+}
+
+/// The state of a world, behind its one lock.
+struct Scheduler {
+    ranks: Vec<RankSlot>,
+    /// Ranks neither parked nor exited.
+    running: usize,
     /// Next sequence number per (src, dst) world-rank edge.
-    seq: Mutex<HashMap<(usize, usize), u64>>,
+    seq: HashMap<(usize, usize), u64>,
+    /// Messages held back until the world is quiescent, with their
+    /// destination, in send order.
+    delayed: Vec<(usize, Message)>,
+    /// Contributions to each communicator's in-progress collective (by
+    /// tag namespace), indexed by local rank.
+    collectives: HashMap<u64, Vec<Option<Vec<f64>>>>,
+}
+
+impl Scheduler {
+    fn new(n: usize) -> Scheduler {
+        Scheduler {
+            ranks: (0..n).map(|_| RankSlot { splits: 1, ..RankSlot::default() }).collect(),
+            running: n,
+            seq: HashMap::new(),
+            delayed: Vec::new(),
+            collectives: HashMap::new(),
+        }
+    }
+
+    fn next_seq(&mut self, src: usize, dst: usize) -> u64 {
+        let s = self.seq.entry((src, dst)).or_insert(0);
+        *s += 1;
+        *s
+    }
+
+    fn unpark(&mut self, rank: usize) {
+        self.ranks[rank].wait = None;
+        self.running += 1;
+    }
+
+    /// Put `msg` into `dst`'s inbox. Returns whether this woke `dst`,
+    /// which it does only if `dst` is parked on exactly this message.
+    fn post(&mut self, dst: usize, msg: Message) -> bool {
+        let wakes = matches!(
+            self.ranks[dst].wait,
+            Some(Wait::Recv { src, tag, .. }) if src == msg.src && tag == msg.tag
+        );
+        self.ranks[dst].inbox.push_back(msg);
+        if wakes {
+            self.unpark(dst);
+        }
+        wakes
+    }
+
+    /// Take the next message from `src` with `tag` out of `me`'s inbox,
+    /// skipping duplicates of delivered ones: `None` if there is none,
+    /// `Some(Err)` if its checksum fails, else the payload and its
+    /// sequence number.
+    fn take(
+        &mut self,
+        me: usize,
+        src: usize,
+        tag: u64,
+    ) -> Option<Result<(Vec<f64>, u64), CommError>> {
+        let slot = &mut self.ranks[me];
+        while let Some(pos) = slot.inbox.iter().position(|m| m.src == src && m.tag == tag) {
+            let msg = slot.inbox.remove(pos).expect("position is in range");
+            if !slot.delivered.insert((msg.src, msg.seq)) {
+                continue; // duplicate of an already-delivered message
+            }
+            if msg_checksum(msg.tag, msg.seq, &msg.data) != msg.checksum {
+                return Some(Err(CommError::Corrupt { src: msg.src, tag: msg.tag, seq: msg.seq }));
+            }
+            return Some(Ok((msg.data, msg.seq)));
+        }
+        None
+    }
+
+    /// Apply the quiescence rule of the module doc.
+    fn quiesce(&mut self) {
+        for (dst, msg) in std::mem::take(&mut self.delayed) {
+            self.post(dst, msg);
+        }
+        if self.running > 0 {
+            return;
+        }
+        let parked_order = |s: &RankSlot| s.wait.map(Wait::expiry_order);
+        let Some(first) = self.ranks.iter().filter_map(parked_order).min() else {
+            return;
+        };
+        for r in 0..self.ranks.len() {
+            if parked_order(&self.ranks[r]) == Some(first) {
+                self.ranks[r].wake = Some(Wake::Expired);
+                self.unpark(r);
+            }
+        }
+    }
+}
+
+/// What the ranks of one world share.
+struct WorldShared {
+    stats: TrafficStats,
     faults: Option<Arc<FaultPlan>>,
-    /// Deadline after which a *blocking* receive gives up and reports a
-    /// [`CommError::ProtocolHang`] instead of stalling silently forever
-    /// (e.g. a receive posted with the wrong tag).
-    hang_deadline: Duration,
+    sched: Mutex<Scheduler>,
+    /// Signalled whenever a parked rank is woken.
+    cv: Condvar,
 }
 
 impl WorldShared {
-    fn next_seq(&self, src: usize, dst: usize) -> u64 {
-        let mut seqs = self.seq.lock();
-        let s = seqs.entry((src, dst)).or_insert(0);
-        *s += 1;
-        *s
+    /// Park `me` on `wait` until a waker ends it.
+    fn park(&self, s: &mut MutexGuard<'_, Scheduler>, me: usize, wait: Wait) {
+        s.ranks[me].wait = Some(wait);
+        self.stop_running(s);
+        while s.ranks[me].wait.is_some() {
+            self.cv.wait(s);
+        }
+    }
+
+    /// One rank parks or exits; the last one to stop running applies the
+    /// quiescence rule.
+    fn stop_running(&self, s: &mut Scheduler) {
+        s.running -= 1;
+        if s.running == 0 {
+            s.quiesce();
+            self.cv.notify_all();
+        }
+    }
+}
+
+/// Takes its rank out of the running set when the rank's body returns
+/// or panics.
+struct ExitGuard(Arc<WorldShared>);
+
+impl Drop for ExitGuard {
+    fn drop(&mut self) {
+        self.0.stop_running(&mut self.0.sched.lock());
     }
 }
 
 /// An SPMD world: `n` ranks running concurrently on threads.
 pub struct World;
 
-/// Default deadline for *blocking* receives: far above every legitimate
-/// wait in the model (guard rounds settle in milliseconds), small enough
-/// that a receive posted with the wrong tag surfaces as a typed
-/// [`CommError::ProtocolHang`] instead of hanging a test run forever.
-pub const DEFAULT_HANG_DEADLINE: Duration = Duration::from_secs(30);
-
-/// Knobs for [`World::run_opts`].
-pub struct WorldOptions {
-    /// Fault plan injected into the point-to-point layer, if any.
-    pub faults: Option<Arc<FaultPlan>>,
-    /// Deadline for blocking receives (see [`DEFAULT_HANG_DEADLINE`]).
-    pub hang_deadline: Duration,
-}
-
-impl Default for WorldOptions {
-    fn default() -> WorldOptions {
-        WorldOptions {
-            faults: None,
-            hang_deadline: DEFAULT_HANG_DEADLINE,
-        }
-    }
-}
-
-/// Everything a world run produces: per-rank results, traffic totals,
-/// and the per-rank message traces recorded by the always-on ring.
-pub struct WorldRun<T> {
-    pub results: Vec<T>,
-    pub traffic: crate::TrafficSnapshot,
-    pub traces: Vec<RankTrace>,
-}
-
 impl World {
     /// Run `f` on `n` ranks and collect each rank's result, ordered by
     /// rank. Panics in any rank propagate.
     pub fn run<T: Send>(n: usize, f: impl Fn(Comm) -> T + Sync) -> Vec<T> {
-        Self::run_with_stats(n, f).0
+        Self::launch(n, None, f).0
     }
 
     /// Like [`World::run`] but also returns the traffic totals.
@@ -98,92 +250,51 @@ impl World {
         n: usize,
         f: impl Fn(Comm) -> T + Sync,
     ) -> (Vec<T>, crate::TrafficSnapshot) {
-        let run = Self::run_opts(n, WorldOptions::default(), f);
-        (run.results, run.traffic)
+        let (results, traffic, _) = Self::launch(n, None, f);
+        (results, traffic)
     }
 
-    /// Run `f` on `n` ranks with `plan`'s faults injected into the
-    /// point-to-point layer. The plan is shared: its edge counters and
-    /// one-shot faults persist across successive worlds run with it.
-    pub fn run_with_faults<T: Send>(
-        n: usize,
-        plan: Arc<FaultPlan>,
-        f: impl Fn(Comm) -> T + Sync,
-    ) -> Vec<T> {
-        Self::run_traced(n, Some(plan), f).0
-    }
-
-    /// Like [`World::run_with_faults`] (a `None` plan is fault-free) but
-    /// also returns each rank's recorded message trace, for conformance
-    /// checking against a verified [`crate::protocol::ProtocolSpec`].
+    /// Run `f` on `n` ranks with `faults` (if any) injected into the
+    /// point-to-point layer, and return each rank's recorded message
+    /// trace too, for conformance checking against a verified
+    /// [`crate::protocol::ProtocolSpec`]. The plan is shared: its edge
+    /// counters and one-shot faults persist across successive worlds run
+    /// with it.
     pub fn run_traced<T: Send>(
         n: usize,
         faults: Option<Arc<FaultPlan>>,
         f: impl Fn(Comm) -> T + Sync,
     ) -> (Vec<T>, Vec<RankTrace>) {
-        let run = Self::run_opts(n, WorldOptions { faults, ..WorldOptions::default() }, f);
-        (run.results, run.traces)
+        let (results, _, traces) = Self::launch(n, faults, f);
+        (results, traces)
     }
 
-    /// Fully-configurable world run.
-    pub fn run_opts<T: Send>(
+    fn launch<T: Send>(
         n: usize,
-        opts: WorldOptions,
+        faults: Option<Arc<FaultPlan>>,
         f: impl Fn(Comm) -> T + Sync,
-    ) -> WorldRun<T> {
+    ) -> (Vec<T>, crate::TrafficSnapshot, Vec<RankTrace>) {
         assert!(n >= 1);
-        let stats = Arc::new(TrafficStats::new());
         let shared = Arc::new(WorldShared {
-            stats: stats.clone(),
-            split_ctx: Mutex::new(HashMap::new()),
-            seq: Mutex::new(HashMap::new()),
-            faults: opts.faults,
-            hang_deadline: opts.hang_deadline,
+            stats: TrafficStats::new(),
+            faults,
+            sched: Mutex::new(Scheduler::new(n)),
+            cv: Condvar::new(),
         });
-        let world_ctx = Arc::new(CollectiveCtx::new(n));
-
-        let mut senders: Vec<Sender<Message>> = Vec::with_capacity(n);
-        let mut receivers: Vec<Receiver<Message>> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = unbounded();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        // One mailbox per rank, held here as well so the recorded traces
-        // survive the rank threads (only the owning thread touches a
-        // mailbox while its rank runs; we read them after the join).
-        let mailboxes: Vec<Arc<RefCellSend>> = (0..n)
-            .map(|_| Arc::new(RefCellSend(RefCell::new(Mailbox::default()))))
-            .collect();
-
-        // Keep every mailbox alive until all ranks finish: a rank may
-        // legally send to a peer that has already returned (the message is
-        // simply never consumed, as with buffered MPI sends at finalize).
-        let keepalive: Vec<Receiver<Message>> = receivers.clone();
         let results = std::thread::scope(|s| {
             let f = &f;
-            let handles: Vec<_> = receivers
-                .into_iter()
-                .enumerate()
-                .map(|(rank, rx)| {
-                    let senders = senders.clone();
-                    let ctx = world_ctx.clone();
+            let handles: Vec<_> = (0..n)
+                .map(|rank| {
                     let shared = shared.clone();
-                    let pending = mailboxes[rank].clone();
                     s.spawn(move || {
-                        let comm = Comm {
+                        let _exit = ExitGuard(shared.clone());
+                        f(Comm {
                             rank,
-                            size: senders.len(),
-                            group: (0..senders.len()).collect(),
+                            size: n,
+                            group: (0..n).collect(),
                             tag_ns: 0,
-                            senders,
-                            rx: Arc::new(rx),
-                            pending,
-                            ctx,
                             shared,
-                            split_counter: Arc::new(Mutex::new(1)),
-                        };
-                        f(comm)
+                        })
                     })
                 })
                 .collect();
@@ -192,38 +303,16 @@ impl World {
                 .map(|h| h.join().expect("rank panicked"))
                 .collect()
         });
-        drop(keepalive);
-        let traces = mailboxes
-            .iter()
-            .map(|m| std::mem::take(&mut m.0.borrow_mut().trace))
+        let traces = shared
+            .sched
+            .lock()
+            .ranks
+            .iter_mut()
+            .map(|r| std::mem::take(&mut r.trace))
             .collect();
-        WorldRun {
-            results,
-            traffic: stats.snapshot(),
-            traces,
-        }
+        (results, shared.stats.snapshot(), traces)
     }
 }
-
-/// Per-rank receive-side state: out-of-order arrivals plus the set of
-/// `(src, seq)` pairs already delivered, for duplicate suppression.
-#[derive(Default)]
-struct Mailbox {
-    pending: VecDeque<Message>,
-    delivered: HashSet<(usize, u64)>,
-    /// The rank's message trace (always-on, bounded ring).
-    trace: RankTrace,
-}
-
-/// `RefCell` wrapper that is `Send` (each rank's pending queue is only ever
-/// touched by its own thread; the `Arc` exists so `Comm` can be cloned into
-/// sub-communicators on the same thread).
-struct RefCellSend(RefCell<Mailbox>);
-// SAFETY: every `Comm` (and every sub-communicator derived from it) lives
-// on the thread that `World::run` spawned for the rank; the queue is never
-// shared across threads.
-unsafe impl Send for RefCellSend {}
-unsafe impl Sync for RefCellSend {}
 
 /// A communicator: the world communicator, or a subgroup created by
 /// [`Comm::split`]. Rank numbers are local to the communicator.
@@ -232,14 +321,9 @@ pub struct Comm {
     size: usize,
     /// World ranks of the group members, indexed by local rank.
     group: Vec<usize>,
-    /// Tag namespace distinguishing communicators sharing mailboxes.
+    /// Tag namespace distinguishing communicators sharing inboxes.
     tag_ns: u64,
-    senders: Vec<Sender<Message>>,
-    rx: Arc<Receiver<Message>>,
-    pending: Arc<RefCellSend>,
-    ctx: Arc<CollectiveCtx>,
     shared: Arc<WorldShared>,
-    split_counter: Arc<Mutex<u64>>,
 }
 
 impl Comm {
@@ -255,58 +339,51 @@ impl Comm {
         self.size
     }
 
-    /// Traffic meter of the world.
-    pub fn stats(&self) -> &TrafficStats {
-        &self.shared.stats
-    }
-
     /// Non-blocking send of an `f64` payload to local rank `dst` with a
     /// user `tag` (buffered, like MPI eager sends). If the world carries a
     /// fault plan, the message may be dropped, delayed, duplicated, or
     /// bit-flipped here.
     pub fn send(&self, dst: usize, tag: u64, data: &[f64]) {
-        let world_dst = self.group[dst];
-        let world_src = self.group[self.rank];
-        let user_tag = tag;
-        let tag = self.tag_ns ^ tag;
-        let seq = self.shared.next_seq(world_src, world_dst);
-        self.trace(TraceOp::Send { dst: world_dst, tag: user_tag }, seq);
+        let (src, dst) = (self.group[self.rank], self.group[dst]);
+        let ns_tag = self.tag_ns ^ tag;
+        let mut s = self.shared.sched.lock();
+        let seq = s.next_seq(src, dst);
+        s.ranks[src].trace.record(TraceOp::Send { dst, tag }, seq);
         let mut data = data.to_vec();
         // Checksum covers the payload as sent; a bit flip below happens
         // *after* checksumming, so the receiver sees the mismatch.
-        let checksum = msg_checksum(tag, seq, &data);
-        let mut copies = 1;
-        if let Some(plan) = &self.shared.faults {
-            match plan.take_action(world_src, world_dst) {
-                None => {}
-                Some(FaultAction::Drop) => return,
-                Some(FaultAction::Delay(d)) => std::thread::sleep(d),
-                Some(FaultAction::Duplicate) => copies = 2,
-                Some(FaultAction::BitFlip { bit }) if !data.is_empty() => {
-                    let i = (bit / 64) % data.len();
-                    data[i] = f64::from_bits(data[i].to_bits() ^ (1u64 << (bit % 64)));
-                }
-                Some(FaultAction::BitFlip { .. }) => {}
+        let checksum = msg_checksum(ns_tag, seq, &data);
+        let (mut copies, mut delay) = (1, false);
+        let action = self.shared.faults.as_ref().and_then(|p| p.take_action(src, dst));
+        match action {
+            None => {}
+            Some(FaultAction::Drop) => return,
+            Some(FaultAction::Delay) => delay = true,
+            Some(FaultAction::Duplicate) => copies = 2,
+            Some(FaultAction::BitFlip { bit }) if !data.is_empty() => {
+                let i = (bit / 64) % data.len();
+                data[i] = f64::from_bits(data[i].to_bits() ^ (1u64 << (bit % 64)));
             }
+            Some(FaultAction::BitFlip { .. }) => {}
         }
         self.shared.stats.record_send(data.len() * 8);
+        // A message sent behind a delayed one on the same edge waits with
+        // it: messages never overtake each other on an edge (as in MPI).
+        let delay = delay || s.delayed.iter().any(|(d, m)| *d == dst && m.src == src);
         for _ in 0..copies {
-            self.senders[world_dst]
-                .send(Message {
-                    src: world_src,
-                    tag,
-                    seq,
-                    checksum,
-                    data: data.clone(),
-                })
-                .expect("receiver alive for the world's lifetime");
+            let msg = Message { src, tag: ns_tag, seq, checksum, data: data.clone() };
+            if delay {
+                s.delayed.push((dst, msg));
+            } else if s.post(dst, msg) {
+                self.shared.cv.notify_all();
+            }
         }
     }
 
     /// Blocking receive of the next message from local rank `src` with
     /// `tag`. Out-of-order arrivals (other sources/tags) are buffered.
-    /// Panics on corruption, disconnect, or a protocol hang — use
-    /// [`Comm::recv_timeout`] in fault-aware code, or
+    /// Panics on corruption or a protocol hang — use
+    /// [`Comm::recv_deadline`] in fault-aware code, or
     /// [`Comm::recv_checked`] for the same semantics with typed errors.
     pub fn recv(&self, src: usize, tag: u64) -> Vec<f64> {
         self.recv_checked(src, tag)
@@ -315,143 +392,53 @@ impl Comm {
 
     /// [`Comm::recv`] with typed errors instead of panics. A receive no
     /// send will ever match (e.g. posted with the wrong tag) does not
-    /// stall silently: after the world's hang deadline
-    /// ([`WorldOptions::hang_deadline`]) it reports
-    /// [`CommError::ProtocolHang`] naming the awaited src and tag.
+    /// stall: once the world is quiescent and no deadline receive is left
+    /// to expire (step 3 of the quiescence rule in the module doc) it
+    /// reports [`CommError::ProtocolHang`] naming the awaited src and tag.
     pub fn recv_checked(&self, src: usize, tag: u64) -> Result<Vec<f64>, CommError> {
-        let world_src = self.group[src];
-        let r = self
-            .recv_inner(world_src, self.tag_ns ^ tag, Some(self.shared.hang_deadline))
-            .map_err(|e| match e {
-                CommError::Timeout { src, tag: _, waited, .. } => {
-                    CommError::ProtocolHang { src, tag, waited }
-                }
-                other => other,
-            });
-        self.trace_recv(world_src, tag, &r);
+        self.recv_inner(src, tag, false)
+    }
+
+    /// Deadline receive, the run-time twin of
+    /// [`crate::protocol::recv_deadline`]: reports [`CommError::Timeout`]
+    /// once the world is quiescent without a matching message (step 2 of
+    /// the quiescence rule in the module doc) — the peer is dead, or the
+    /// message was dropped. Injected duplicates are suppressed by sequence
+    /// number; corrupted payloads surface as [`CommError::Corrupt`].
+    pub fn recv_deadline(&self, src: usize, tag: u64) -> Result<Vec<f64>, CommError> {
+        self.recv_inner(src, tag, true)
+    }
+
+    fn recv_inner(&self, src: usize, tag: u64, deadline: bool) -> Result<Vec<f64>, CommError> {
+        let (me, src) = (self.group[self.rank], self.group[src]);
+        let ns_tag = self.tag_ns ^ tag;
+        let wait = Wait::Recv { src, tag: ns_tag, deadline };
+        let mut s = self.shared.sched.lock();
+        let r = loop {
+            if let Some(r) = s.take(me, src, ns_tag) {
+                break r;
+            }
+            self.shared.park(&mut s, me, wait);
+            if let Some(Wake::Expired) = s.ranks[me].wake.take() {
+                break Err(if deadline {
+                    CommError::Timeout { src, tag }
+                } else {
+                    CommError::ProtocolHang { src, tag }
+                });
+            }
+        };
+        let (op, seq) = match &r {
+            Ok((_, seq)) => (TraceOp::Recv { src, tag }, *seq),
+            Err(CommError::Corrupt { seq, .. }) => (TraceOp::RecvFailed { src, tag }, *seq),
+            Err(_) => (TraceOp::RecvFailed { src, tag }, 0),
+        };
+        s.ranks[me].trace.record(op, seq);
         r.map(|(data, _)| data)
-    }
-
-    /// Receive with a deadline and typed errors. Waits in exponentially
-    /// growing slices (bounded backoff) until `timeout` has elapsed, then
-    /// reports [`CommError::Timeout`]. Injected duplicates are suppressed
-    /// by sequence number; corrupted payloads surface as
-    /// [`CommError::Corrupt`].
-    pub fn recv_timeout(&self, src: usize, tag: u64, timeout: Duration) -> Result<Vec<f64>, CommError> {
-        let world_src = self.group[src];
-        let r = self.recv_inner(world_src, self.tag_ns ^ tag, Some(timeout));
-        self.trace_recv(world_src, tag, &r);
-        r.map(|(data, _)| data)
-    }
-
-    fn trace_recv(&self, world_src: usize, user_tag: u64, r: &Result<(Vec<f64>, u64), CommError>) {
-        match r {
-            Ok((_, seq)) => self.trace(TraceOp::Recv { src: world_src, tag: user_tag }, *seq),
-            Err(CommError::Corrupt { seq, .. }) => {
-                self.trace(TraceOp::RecvFailed { src: world_src, tag: user_tag }, *seq)
-            }
-            Err(_) => self.trace(TraceOp::RecvFailed { src: world_src, tag: user_tag }, 0),
-        }
-    }
-
-    fn trace(&self, op: TraceOp, seq: u64) {
-        self.pending.0.borrow_mut().trace.record(op, seq);
-    }
-
-    /// Deliver a matched message: `None` if it is a duplicate to skip,
-    /// `Some(Err)` if its checksum fails, `Some(Ok)` with the payload
-    /// and its sequence number.
-    fn deliver(&self, msg: Message) -> Option<Result<(Vec<f64>, u64), CommError>> {
-        let mut mbox = self.pending.0.borrow_mut();
-        if !mbox.delivered.insert((msg.src, msg.seq)) {
-            return None; // duplicate of an already-delivered message
-        }
-        if msg_checksum(msg.tag, msg.seq, &msg.data) != msg.checksum {
-            return Some(Err(CommError::Corrupt {
-                src: msg.src,
-                tag: msg.tag,
-                seq: msg.seq,
-            }));
-        }
-        Some(Ok((msg.data, msg.seq)))
-    }
-
-    fn recv_inner(
-        &self,
-        world_src: usize,
-        tag: u64,
-        timeout: Option<Duration>,
-    ) -> Result<(Vec<f64>, u64), CommError> {
-        // Drain matches already sitting in the pending buffer.
-        loop {
-            let msg = {
-                let mut mbox = self.pending.0.borrow_mut();
-                match mbox
-                    .pending
-                    .iter()
-                    .position(|m| m.src == world_src && m.tag == tag)
-                {
-                    Some(pos) => mbox.pending.remove(pos).unwrap(),
-                    None => break,
-                }
-            };
-            if let Some(outcome) = self.deliver(msg) {
-                return outcome;
-            }
-        }
-
-        let deadline = timeout.map(|t| Instant::now() + t);
-        let start = Instant::now();
-        let mut slice = Duration::from_millis(1);
-        let mut attempts = 0u32;
-        loop {
-            let received = match deadline {
-                None => self.rx.recv().map_err(|_| CommError::Disconnected {
-                    src: world_src,
-                    tag,
-                }),
-                Some(deadline) => {
-                    attempts += 1;
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Err(CommError::Timeout {
-                            src: world_src,
-                            tag,
-                            waited: start.elapsed(),
-                            attempts,
-                        });
-                    }
-                    match self.rx.recv_timeout(slice.min(deadline - now)) {
-                        Ok(m) => Ok(m),
-                        Err(RecvTimeoutError::Timeout) => {
-                            // Bounded exponential backoff: wait a little
-                            // longer each round, capped per slice.
-                            slice = (slice * 2).min(Duration::from_millis(16));
-                            continue;
-                        }
-                        Err(RecvTimeoutError::Disconnected) => Err(CommError::Disconnected {
-                            src: world_src,
-                            tag,
-                        }),
-                    }
-                }
-            };
-            let msg = received?;
-            if msg.src == world_src && msg.tag == tag {
-                match self.deliver(msg) {
-                    Some(outcome) => return outcome,
-                    None => continue, // duplicate — keep waiting
-                }
-            } else {
-                self.pending.0.borrow_mut().pending.push_back(msg);
-            }
-        }
     }
 
     /// Barrier across the communicator.
     pub fn barrier(&self) {
-        self.record_collective(CollOp::Barrier, 0);
-        self.ctx.barrier();
+        self.rendezvous(CollOp::Barrier, &[], |_| Vec::new());
     }
 
     /// Sum-allreduce of a scalar.
@@ -461,34 +448,82 @@ impl Comm {
 
     /// Element-wise sum-allreduce of a vector.
     pub fn allreduce_sum_vec(&self, xs: &[f64]) -> Vec<f64> {
-        self.record_collective(CollOp::Sum, xs.len() * 8);
-        self.ctx.reduce(xs, combine_sum)
+        self.allreduce(CollOp::Sum, xs, |a, b| a + b)
     }
 
     /// Max-allreduce of a scalar.
     pub fn allreduce_max(&self, x: f64) -> f64 {
-        self.record_collective(CollOp::Max, 8);
-        self.ctx.reduce(&[x], combine_max)[0]
+        self.allreduce(CollOp::Max, &[x], f64::max)[0]
     }
 
     /// Min-allreduce of a scalar.
     pub fn allreduce_min(&self, x: f64) -> f64 {
-        self.record_collective(CollOp::Min, 8);
-        self.ctx.reduce(&[x], combine_min)[0]
+        self.allreduce(CollOp::Min, &[x], f64::min)[0]
     }
 
     /// Gather a scalar from every rank (result indexed by local rank).
     pub fn allgather(&self, x: f64) -> Vec<f64> {
-        self.record_collective(CollOp::Gather, 8);
-        self.ctx.allgather(self.rank, x)
+        self.rendezvous(CollOp::Gather, &[x], |parts| parts.concat())
     }
 
-    fn record_collective(&self, op: CollOp, bytes: usize) {
-        self.trace(TraceOp::Collective { op, comm: self.tag_ns }, 0);
-        self.shared.stats.record_collective_rank(bytes);
+    /// Element-wise reduction, folded in local-rank order.
+    fn allreduce(&self, op: CollOp, xs: &[f64], combine: fn(f64, f64) -> f64) -> Vec<f64> {
+        self.rendezvous(op, xs, |parts| {
+            let mut acc = parts[0].clone();
+            for p in &parts[1..] {
+                assert_eq!(acc.len(), p.len(), "mismatched collective payload sizes");
+                for (a, b) in acc.iter_mut().zip(p) {
+                    *a = combine(*a, *b);
+                }
+            }
+            acc
+        })
+    }
+
+    /// Contribute `xs` to this communicator's collective `op` and wait
+    /// for every member's. The last member to arrive computes `finish`
+    /// over the contributions in local-rank order and hands every member
+    /// the result.
+    fn rendezvous(
+        &self,
+        op: CollOp,
+        xs: &[f64],
+        finish: impl FnOnce(&[Vec<f64>]) -> Vec<f64>,
+    ) -> Vec<f64> {
+        self.shared.stats.record_collective_rank(xs.len() * 8);
         if self.rank == 0 {
             self.shared.stats.record_collective_op();
         }
+        let me = self.group[self.rank];
+        let mut s = self.shared.sched.lock();
+        let event = TraceOp::Collective { op, comm: self.tag_ns };
+        s.ranks[me].trace.record(event, 0);
+        let slots = s.collectives.entry(self.tag_ns).or_insert_with(|| vec![None; self.size]);
+        slots[self.rank] = Some(xs.to_vec());
+        if slots.iter().any(Option::is_none) {
+            self.shared.park(&mut s, me, Wait::Collective);
+            let Some(Wake::Reduced(out)) = s.ranks[me].wake.take() else {
+                s.collectives.remove(&self.tag_ns);
+                drop(s);
+                panic!(
+                    "collective on communicator {:#x} can never complete: \
+                     a member has exited or waits elsewhere",
+                    self.tag_ns
+                );
+            };
+            return out;
+        }
+        let slots = s.collectives.remove(&self.tag_ns).expect("inserted above");
+        let parts: Vec<Vec<f64>> = slots.into_iter().map(|p| p.expect("all arrived")).collect();
+        let out = finish(&parts);
+        for (local, &world) in self.group.iter().enumerate() {
+            if local != self.rank {
+                s.ranks[world].wake = Some(Wake::Reduced(out.clone()));
+                s.unpark(world);
+            }
+        }
+        self.shared.cv.notify_all();
+        out
     }
 
     /// Split the communicator by `color` (collective over this
@@ -497,19 +532,19 @@ impl Comm {
     /// `MPI_Comm_split` (every rank must participate; distinct colors give
     /// disjoint groups).
     pub fn split(&self, color: i64) -> Comm {
-        // Unique series id for this split call, agreed by doing the
-        // increment inside a collective-ordered critical section.
+        let me = self.group[self.rank];
+        // Unique series id for this split call: every rank bumps its own
+        // counter, and the max makes everyone agree even if other splits
+        // happened on sibling communicators.
         let series = {
-            let mut c = self.split_counter.lock();
-            *c += 1;
-            *c
+            let mut s = self.shared.sched.lock();
+            s.ranks[me].splits += 1;
+            s.ranks[me].splits
         };
-        // All ranks see their own increments; use the max so everyone
-        // agrees even if other splits happened on sibling communicators.
         let series = self.allreduce_max(series as f64) as u64;
         {
-            let mut c = self.split_counter.lock();
-            *c = (*c).max(series);
+            let mut s = self.shared.sched.lock();
+            s.ranks[me].splits = s.ranks[me].splits.max(series);
         }
 
         let colors = self.allgather(color as f64);
@@ -522,15 +557,9 @@ impl Comm {
             .expect("self in own color group");
         let group: Vec<usize> = members.iter().map(|&r| self.group[r]).collect();
 
-        let ctx = {
-            let mut reg = self.shared.split_ctx.lock();
-            reg.entry((self.tag_ns, series, color))
-                .or_insert_with(|| Arc::new(CollectiveCtx::new(members.len())))
-                .clone()
-        };
         // Namespace tags by (parent namespace, series, color) so messages
-        // on different communicators between the same pair of threads
-        // cannot collide.
+        // and collectives on different communicators between the same
+        // ranks cannot collide.
         let tag_ns = self
             .tag_ns
             .wrapping_mul(0x9E3779B97F4A7C15)
@@ -538,18 +567,13 @@ impl Comm {
             .wrapping_add((color as u64) << 4)
             | 1 << 63;
 
-        self.trace(TraceOp::Split { color }, 0);
+        self.shared.sched.lock().ranks[me].trace.record(TraceOp::Split { color }, 0);
         Comm {
             rank: my_new_rank,
             size: members.len(),
             group,
             tag_ns,
-            senders: self.senders.clone(),
-            rx: self.rx.clone(),
-            pending: self.pending.clone(),
-            ctx,
             shared: self.shared.clone(),
-            split_counter: self.split_counter.clone(),
         }
     }
 }
@@ -601,6 +625,56 @@ mod tests {
             assert_eq!(mn, 0.0);
             assert_eq!(g, vec![0.0, 2.0, 4.0, 6.0, 8.0, 10.0]);
         }
+        // Cancellation makes the sum order-sensitive: folded in rank order
+        // it is (1e16 + 1) - 1e16 = 0 on every run, whichever thread
+        // arrives first.
+        for _ in 0..500 {
+            let sums = World::run(3, |comm| {
+                comm.allreduce_sum([1e16, 1.0, -1e16][comm.rank()])
+            });
+            assert_eq!(sums, vec![0.0; 3]);
+        }
+    }
+
+    #[test]
+    fn repeated_collectives_stay_separate() {
+        let results = World::run(4, |comm| {
+            (0..50)
+                .map(|round| comm.allreduce_sum((comm.rank() + round) as f64))
+                .collect::<Vec<_>>()
+        });
+        for sums in results {
+            for (round, s) in sums.iter().enumerate() {
+                // sum over r of (r + round) = 6 + 4*round
+                assert_eq!(*s, (6 + 4 * round) as f64);
+            }
+        }
+    }
+
+    #[test]
+    fn single_rank_collective_is_identity() {
+        let results = World::run(1, |comm| {
+            comm.barrier();
+            comm.allreduce_sum_vec(&[3.0, 4.0])
+        });
+        assert_eq!(results[0], vec![3.0, 4.0]);
+    }
+
+    #[test]
+    fn collective_a_member_never_reaches_panics_naming_its_communicator() {
+        let results = World::run(2, |comm| {
+            if comm.rank() == 1 {
+                return String::new();
+            }
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| comm.barrier()))
+                .expect_err("a barrier rank 1 never reaches cannot complete");
+            err.downcast_ref::<String>().cloned().unwrap_or_default()
+        });
+        assert!(
+            results[0].contains("collective on communicator 0x0 can never complete"),
+            "{}",
+            results[0]
+        );
     }
 
     #[test]
@@ -683,29 +757,34 @@ mod tests {
 
     #[test]
     fn wrong_tag_recv_reports_protocol_hang_instead_of_stalling() {
-        let run = World::run_opts(
-            2,
-            WorldOptions {
-                hang_deadline: Duration::from_millis(40),
-                ..WorldOptions::default()
-            },
-            |comm| {
-                if comm.rank() == 0 {
-                    comm.send(1, 1, &[3.0]);
-                    Ok(vec![])
-                } else {
-                    // Tag 2 is never sent: without the hang deadline this
-                    // blocking receive would stall the test forever.
-                    comm.recv_checked(0, 2)
-                }
-            },
-        );
-        match &run.results[1] {
-            Err(CommError::ProtocolHang { src: 0, tag: 2, waited }) => {
-                assert!(*waited >= Duration::from_millis(40));
+        let results = World::run(2, |comm| {
+            if comm.rank() == 0 {
+                comm.send(1, 1, &[3.0]);
+                Ok(vec![])
+            } else {
+                // Tag 2 is never sent: without the quiescence rule this
+                // blocking receive would stall the test forever.
+                comm.recv_checked(0, 2)
             }
-            other => panic!("expected ProtocolHang naming src 0 tag 2, got {other:?}"),
-        }
+        });
+        assert_eq!(results[1], Err(CommError::ProtocolHang { src: 0, tag: 2 }));
+    }
+
+    #[test]
+    fn deadline_receives_expire_before_blocking_receives_hang() {
+        // Rank 1 blocks on a message rank 0 sends only after its own
+        // deadline receive has expired: step 2 of the rule must run first.
+        let results = World::run(2, |comm| {
+            if comm.rank() == 0 {
+                let r = comm.recv_deadline(1, 4);
+                comm.send(1, 5, &[1.0]);
+                r
+            } else {
+                comm.recv_checked(0, 5)
+            }
+        });
+        assert_eq!(results[0], Err(CommError::Timeout { src: 1, tag: 4 }));
+        assert_eq!(results[1], Ok(vec![1.0]));
     }
 
     #[test]
@@ -719,18 +798,15 @@ mod tests {
             }
             comm.barrier();
         });
-        assert_eq!(
-            traces[0].events[0].op,
-            TraceOp::Send { dst: 1, tag: 7 }
-        );
+        assert_eq!(traces[0].events[0].op, TraceOp::Send { dst: 1, tag: 7 });
         assert_eq!(traces[0].events[0].seq, 1);
-        assert_eq!(
-            traces[1].events[0].op,
-            TraceOp::Recv { src: 0, tag: 7 }
-        );
+        assert_eq!(traces[1].events[0].op, TraceOp::Recv { src: 0, tag: 7 });
         assert!(matches!(
             traces[0].events[1].op,
-            TraceOp::Collective { op: CollOp::Barrier, comm: 0 }
+            TraceOp::Collective {
+                op: CollOp::Barrier,
+                comm: 0
+            }
         ));
         assert_eq!(traces[0].dropped, 0);
     }
@@ -743,7 +819,7 @@ mod tests {
             if comm.rank() == 0 {
                 comm.send(1, 3, &[42.0]);
             } else {
-                let _ = comm.recv_timeout(0, 3, Duration::from_millis(20));
+                let _ = comm.recv_deadline(0, 3);
             }
         });
         assert_eq!(
@@ -753,40 +829,29 @@ mod tests {
     }
 
     #[test]
-    fn dropped_message_times_out_with_backoff() {
+    fn dropped_message_times_out_typed() {
         let plan = Arc::new(FaultPlan::new().inject(0, 1, 1, FaultAction::Drop));
-        let results = World::run_with_faults(2, plan.clone(), |comm| {
+        let (results, _) = World::run_traced(2, Some(plan.clone()), |comm| {
             if comm.rank() == 0 {
                 comm.send(1, 3, &[42.0]);
                 Ok(vec![])
             } else {
-                comm.recv_timeout(0, 3, Duration::from_millis(30))
+                comm.recv_deadline(0, 3)
             }
         });
-        match &results[1] {
-            Err(CommError::Timeout { src: 0, attempts, waited, .. }) => {
-                assert!(*attempts > 1, "expected multiple backoff attempts");
-                assert!(*waited >= Duration::from_millis(30));
-            }
-            other => panic!("expected timeout, got {other:?}"),
-        }
+        assert_eq!(results[1], Err(CommError::Timeout { src: 0, tag: 3 }));
         assert_eq!(plan.report().dropped, 1);
     }
 
     #[test]
-    fn delayed_message_rides_through_within_budget() {
-        let plan = Arc::new(FaultPlan::new().inject(
-            0,
-            1,
-            1,
-            FaultAction::Delay(Duration::from_millis(10)),
-        ));
-        let results = World::run_with_faults(2, plan.clone(), |comm| {
+    fn delayed_message_is_delivered_before_any_deadline_expires() {
+        let plan = Arc::new(FaultPlan::new().inject(0, 1, 1, FaultAction::Delay));
+        let (results, _) = World::run_traced(2, Some(plan.clone()), |comm| {
             if comm.rank() == 0 {
                 comm.send(1, 3, &[7.0]);
                 Ok(vec![])
             } else {
-                comm.recv_timeout(0, 3, Duration::from_millis(500))
+                comm.recv_deadline(0, 3)
             }
         });
         assert_eq!(results[1], Ok(vec![7.0]));
@@ -794,9 +859,24 @@ mod tests {
     }
 
     #[test]
+    fn a_delayed_message_is_not_overtaken_on_its_edge() {
+        let plan = Arc::new(FaultPlan::new().inject(0, 1, 1, FaultAction::Delay));
+        let (results, _) = World::run_traced(2, Some(plan), |comm| {
+            if comm.rank() == 0 {
+                comm.send(1, 3, &[1.0]);
+                comm.send(1, 3, &[2.0]);
+                (vec![], vec![])
+            } else {
+                (comm.recv(0, 3), comm.recv(0, 3))
+            }
+        });
+        assert_eq!(results[1], (vec![1.0], vec![2.0]));
+    }
+
+    #[test]
     fn duplicates_are_delivered_exactly_once() {
         let plan = Arc::new(FaultPlan::new().inject(0, 1, 1, FaultAction::Duplicate));
-        let results = World::run_with_faults(2, plan.clone(), |comm| {
+        let (results, _) = World::run_traced(2, Some(plan.clone()), |comm| {
             if comm.rank() == 0 {
                 comm.send(1, 3, &[1.0]);
                 comm.send(1, 3, &[2.0]);
@@ -816,12 +896,12 @@ mod tests {
     #[test]
     fn bit_flip_is_caught_by_checksum() {
         let plan = Arc::new(FaultPlan::new().inject(0, 1, 1, FaultAction::BitFlip { bit: 77 }));
-        let results = World::run_with_faults(2, plan.clone(), |comm| {
+        let (results, _) = World::run_traced(2, Some(plan.clone()), |comm| {
             if comm.rank() == 0 {
                 comm.send(1, 3, &[1.0, 2.0, 3.0]);
                 Ok(vec![])
             } else {
-                comm.recv_timeout(0, 3, Duration::from_millis(200))
+                comm.recv_deadline(0, 3)
             }
         });
         assert!(
@@ -835,11 +915,11 @@ mod tests {
     #[test]
     fn faultless_plan_is_transparent() {
         let plan = Arc::new(FaultPlan::seeded(99, 4, 0));
-        let results = World::run_with_faults(4, plan, |comm| {
+        let (results, _) = World::run_traced(4, Some(plan), |comm| {
             let next = (comm.rank() + 1) % comm.size();
             let prev = (comm.rank() + comm.size() - 1) % comm.size();
             comm.send(next, 7, &[comm.rank() as f64]);
-            comm.recv_timeout(prev, 7, Duration::from_secs(5)).unwrap()[0]
+            comm.recv_deadline(prev, 7).unwrap()[0]
         });
         assert_eq!(results, vec![3.0, 0.0, 1.0, 2.0]);
     }

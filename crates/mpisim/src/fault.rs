@@ -13,21 +13,23 @@
 //! the whole simulation, regardless of how many guard worlds were spun up.
 //!
 //! [`CommError`] is the typed failure surface of the fault-aware receive
-//! path ([`crate::Comm::recv_timeout`]): timeouts (dropped message, dead
+//! path ([`crate::Comm::recv_deadline`]): timeouts (dropped message, dead
 //! peer), payload corruption (bit flip caught by the message checksum),
-//! and disconnection.
+//! and protocol hangs.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::time::Duration;
 
 /// What to do to one matched point-to-point message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FaultAction {
     /// Swallow the message entirely.
     Drop,
-    /// Deliver late by this much (exercises timeout/backoff ride-through).
-    Delay(Duration),
+    /// Hold the message back until the world is quiescent (step 1 of the
+    /// quiescence rule, [`crate::comm`]): it arrives after everything
+    /// else that can happen has happened, yet before any deadline
+    /// receive expires. Later messages on the same edge wait behind it.
+    Delay,
     /// Deliver the message twice (receiver must deduplicate by sequence
     /// number).
     Duplicate,
@@ -49,53 +51,36 @@ pub struct PlannedFault {
 /// Typed failure of a fault-aware receive.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CommError {
-    /// No matching message arrived within the deadline (message dropped or
-    /// the peer is dead). `attempts` counts the exponential-backoff waits.
-    Timeout {
-        src: usize,
-        tag: u64,
-        waited: Duration,
-        attempts: u32,
-    },
+    /// A deadline receive found the world quiescent without a matching
+    /// message (message dropped or the peer is dead): step 2 of the
+    /// quiescence rule, [`crate::comm`].
+    Timeout { src: usize, tag: u64 },
     /// A matching message arrived but its checksum did not verify.
     Corrupt { src: usize, tag: u64, seq: u64 },
-    /// The world's channels are gone (all senders dropped).
-    Disconnected { src: usize, tag: u64 },
-    /// A *blocking* receive outlived the world's hang deadline: no send
-    /// will ever match it (classically: the receive was posted with the
-    /// wrong tag). Unlike [`CommError::Timeout`] this is a protocol bug,
-    /// not a fault — the typed error names the awaited src and (user)
-    /// tag instead of stalling the run silently forever.
-    ProtocolHang {
-        src: usize,
-        tag: u64,
-        waited: Duration,
-    },
+    /// A *blocking* receive found the world quiescent with no deadline
+    /// receive left to expire (step 3): no send will ever match it
+    /// (classically: the receive was posted with the wrong tag). Unlike
+    /// [`CommError::Timeout`] this is a protocol bug, not a fault — the
+    /// typed error names the awaited src and (user) tag instead of
+    /// stalling the run silently forever.
+    ProtocolHang { src: usize, tag: u64 },
 }
 
 impl std::fmt::Display for CommError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CommError::Timeout {
-                src,
-                tag,
-                waited,
-                attempts,
-            } => write!(
+            CommError::Timeout { src, tag } => write!(
                 f,
-                "timed out waiting for message from rank {src} tag {tag} ({waited:?}, {attempts} attempts)"
+                "timed out waiting for message from rank {src} tag {tag} (world quiescent)"
             ),
             CommError::Corrupt { src, tag, seq } => write!(
                 f,
                 "corrupt message from rank {src} tag {tag} seq {seq} (checksum mismatch)"
             ),
-            CommError::Disconnected { src, tag } => {
-                write!(f, "channel disconnected waiting for rank {src} tag {tag}")
-            }
-            CommError::ProtocolHang { src, tag, waited } => write!(
+            CommError::ProtocolHang { src, tag } => write!(
                 f,
-                "protocol hang: blocking recv from rank {src} tag {tag} unmatched \
-                 after {waited:?} (no send will ever match; check the protocol spec)"
+                "protocol hang: blocking recv from rank {src} tag {tag} unmatched in a \
+                 quiescent world (no send will ever match; check the protocol spec)"
             ),
         }
     }
@@ -188,7 +173,12 @@ impl FaultPlan {
                 let nth = 1 + rng.next_u64() % 3;
                 let action = match rng.next_u64() % 4 {
                     0 => FaultAction::Drop,
-                    1 => FaultAction::Delay(Duration::from_millis(1 + rng.next_u64() % 8)),
+                    1 => {
+                        // This draw once sized the delay; it stays so that
+                        // every seed still plans the same faults.
+                        rng.next_u64();
+                        FaultAction::Delay
+                    }
                     2 => FaultAction::Duplicate,
                     _ => FaultAction::BitFlip {
                         bit: (rng.next_u64() % 512) as usize,
@@ -214,12 +204,13 @@ impl FaultPlan {
     }
 
     /// Schedule rank `rank` to **hang** from coupling window `window` on:
-    /// the rank stays alive but goes silent indefinitely — it holds its
-    /// world up for a bounded grace period each round and never sends.
-    /// Unlike a kill this is what a livelocked or deadlocked component
-    /// looks like: only a deadline-based failure detector (missed-beat
-    /// accrual), not a single `recv_timeout`, can distinguish it from a
-    /// slow peer. Released by [`FaultPlan::revive`].
+    /// the rank stays alive but goes silent indefinitely — it never sends,
+    /// so the monitor's deadline receive expires once the world is
+    /// quiescent (the quiescence rule, [`crate::comm`]). Unlike a kill
+    /// this is what a livelocked or deadlocked component looks like: only
+    /// a failure detector that accrues missed beats across rounds, not a
+    /// single expired receive, can tell it from a transient drop.
+    /// Released by [`FaultPlan::revive`].
     pub fn hang(self, rank: usize, window: u64) -> FaultPlan {
         self.state.lock().hangs.push(PlannedHang {
             rank,
@@ -284,7 +275,7 @@ impl FaultPlan {
         let action = st.faults.remove(idx).action;
         match &action {
             FaultAction::Drop => st.report.dropped += 1,
-            FaultAction::Delay(_) => st.report.delayed += 1,
+            FaultAction::Delay => st.report.delayed += 1,
             FaultAction::Duplicate => st.report.duplicated += 1,
             FaultAction::BitFlip { .. } => st.report.bit_flipped += 1,
         }

@@ -3,48 +3,34 @@
 //! One [`heartbeat_round`] spins a small SPMD world: rank 0 is the
 //! monitor, every other rank is a supervised component that sends one
 //! beat (a short `f64` payload, e.g. health-probe flags) to rank 0 and
-//! exits. The monitor collects each beat under a deadline and reports a
-//! per-rank [`BeatStatus`].
+//! exits. The monitor collects each beat with a deadline receive and
+//! reports a per-rank [`BeatStatus`]; a beat is missed when the world
+//! goes quiescent without it (the quiescence rule, [`crate::comm`]).
 //!
 //! Beats travel over the ordinary fault-injectable point-to-point layer,
 //! so a `FaultPlan` can drop a beat (transient miss), kill the sender
 //! (persistent silence), or hang it ([`crate::FaultPlan::hang`]: the rank
-//! blocks for a bounded `hang_hold` per round and never sends — alive but
-//! unresponsive). A single missed beat is therefore *evidence*, not a
-//! verdict: failure declaration belongs to a deadline-based detector that
-//! accrues misses across rounds (`esm-core`'s health module).
+//! never sends — alive but unresponsive, and to the monitor as silent as
+//! a dead one). A single missed beat is therefore *evidence*, not a
+//! verdict: failure declaration belongs to a detector that accrues
+//! misses across rounds (`esm-core`'s health module).
 
 use crate::fault::CommError;
 use crate::{FaultPlan, World};
 use std::sync::Arc;
-use std::time::Duration;
 
-/// Timing of one heartbeat round.
-#[derive(Debug, Clone, Copy)]
-pub struct BeatConfig {
-    /// Monitor-side deadline per beat.
-    pub timeout: Duration,
-    /// How long a hung rank blocks its world before the round is allowed
-    /// to finish (bounds the simulated "indefinite" hang so test runs
-    /// terminate; must exceed `timeout` for the miss to be observed).
-    pub hang_hold: Duration,
-}
-
-impl Default for BeatConfig {
-    fn default() -> BeatConfig {
-        BeatConfig {
-            timeout: Duration::from_millis(60),
-            hang_hold: Duration::from_millis(90),
-        }
-    }
-}
+/// Configuration of a heartbeat round. It has no fields: the monitor's
+/// deadline is the quiescence rule, not a duration. (Braced, so callers
+/// build it with `BeatConfig::default()`.)
+#[derive(Debug, Clone, Copy, Default)]
+pub struct BeatConfig {}
 
 /// What the monitor saw from one supervised rank in one round.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BeatStatus {
     /// The beat arrived in time; carries the sender's payload.
     Ok(Vec<f64>),
-    /// No (valid) beat before the deadline.
+    /// No (valid) beat before the world went quiescent.
     Missed(CommError),
     /// The supervisor already knows this rank is down; no beat was
     /// expected and none was waited for.
@@ -79,7 +65,7 @@ pub fn heartbeat_round(
 pub fn heartbeat_round_traced(
     n_ranks: usize,
     window: u64,
-    cfg: &BeatConfig,
+    _cfg: &BeatConfig,
     plan: Option<&Arc<FaultPlan>>,
     down: &[bool],
     payloads: &[Vec<f64>],
@@ -95,13 +81,12 @@ pub fn heartbeat_round_traced(
                 return None;
             }
             if let Some(plan) = plan {
-                // A kill firing this window and a previously fired kill
-                // both mean silence; a hang means silence after a hold.
-                if plan.take_kill(rank, window) || plan.is_dead(rank) {
-                    return None;
-                }
-                if plan.is_hung(rank, window) {
-                    std::thread::sleep(cfg.hang_hold);
+                // A kill firing this window, a previously fired kill and a
+                // hang all mean silence.
+                let silent = plan.take_kill(rank, window)
+                    || plan.is_dead(rank)
+                    || plan.is_hung(rank, window);
+                if silent {
                     return None;
                 }
             }
@@ -113,7 +98,7 @@ pub fn heartbeat_round_traced(
             statuses.push(if is_down {
                 BeatStatus::Down
             } else {
-                match comm.recv_timeout(r, window, cfg.timeout) {
+                match comm.recv_deadline(r, window) {
                     Ok(payload) => BeatStatus::Ok(payload),
                     Err(e) => BeatStatus::Missed(e),
                 }
@@ -162,10 +147,7 @@ mod tests {
 
     #[test]
     fn hung_rank_misses_without_dying() {
-        let cfg = BeatConfig {
-            timeout: Duration::from_millis(40),
-            hang_hold: Duration::from_millis(60),
-        };
+        let cfg = BeatConfig::default();
         let plan = Arc::new(FaultPlan::new().hang(1, 2));
         let got = heartbeat_round(3, 1, &cfg, Some(&plan), &[false; 3], &payloads(3));
         assert!(got[1].is_ok(), "not hanging before its window");
@@ -183,16 +165,17 @@ mod tests {
 
     #[test]
     fn known_down_ranks_are_skipped_not_timed_out() {
-        let cfg = BeatConfig {
-            timeout: Duration::from_millis(200),
-            ..BeatConfig::default()
-        };
-        let t0 = std::time::Instant::now();
-        let got = heartbeat_round(3, 1, &cfg, None, &[false, false, true], &payloads(3));
+        let cfg = BeatConfig::default();
+        let (got, traces) =
+            heartbeat_round_traced(3, 1, &cfg, None, &[false, false, true], &payloads(3));
         assert_eq!(got[2], BeatStatus::Down);
         assert!(
-            t0.elapsed() < cfg.timeout,
-            "monitor must not burn a timeout on a rank it knows is down"
+            !traces[0].events.iter().any(|e| matches!(
+                e.op,
+                crate::TraceOp::Recv { src: 2, .. } | crate::TraceOp::RecvFailed { src: 2, .. }
+            )),
+            "monitor must not post a receive for a rank it knows is down: {:?}",
+            traces[0].events
         );
     }
 

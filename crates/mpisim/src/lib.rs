@@ -3,17 +3,17 @@
 //! ICON parallelizes with MPI (point-to-point halo exchanges with
 //! GPUDirect RDMA, global reductions in the ocean's barotropic solver) and
 //! OpenMP. This crate provides the equivalent programming model on a single
-//! machine: every MPI rank becomes a thread, point-to-point messages travel
-//! over lock-free channels, collectives synchronize through a shared
-//! reduction context, and all traffic is metered so the `machine` cost
-//! model can be driven by *measured* communication volumes.
+//! machine: every MPI rank becomes a thread, point-to-point messages and
+//! collectives go through one world scheduler that never reads a clock (a
+//! wait is given up only when the world is quiescent — the rule in
+//! [`comm`]), and all traffic is metered so the `machine` cost model can be
+//! driven by *measured* communication volumes.
 //!
 //! The simulation is *real* parallelism (ranks genuinely run concurrently
 //! and only see data they received), not a serial emulation — so races,
 //! deadlocks, and ordering bugs in component code surface here just as they
 //! would on a cluster.
 
-pub mod collective;
 pub mod comm;
 pub mod fault;
 pub mod halo;
@@ -23,7 +23,7 @@ pub mod rank_exchange;
 pub mod stats;
 pub mod verify;
 
-pub use comm::{Comm, World, WorldOptions, WorldRun, DEFAULT_HANG_DEADLINE};
+pub use comm::{Comm, World};
 pub use fault::{CommError, FaultAction, FaultPlan, FaultReport, PlannedFault, Splitmix64};
 pub use halo::HaloExchanger;
 pub use heartbeat::{heartbeat_round, heartbeat_round_traced, BeatConfig, BeatStatus};

@@ -110,7 +110,7 @@ pub enum Op {
     Send { dst: usize, tag: Tag },
     /// Receive. `blocking: true` models [`crate::Comm::recv`] (must be
     /// matched by a send or the rank hangs); `blocking: false` models
-    /// [`crate::Comm::recv_timeout`] (may legally expire unmatched on
+    /// [`crate::Comm::recv_deadline`] (may legally expire unmatched on
     /// fault branches).
     Recv { src: usize, tag: Tag, blocking: bool },
     /// Collective on communicator `comm` (tag namespace; 0 = world).
@@ -173,8 +173,8 @@ pub fn recv(src: usize, tag: Tag) -> Node {
     Node::Op(Op::Recv { src, tag, blocking: true })
 }
 
-/// Builder: deadline receive (`recv_timeout`), allowed to expire on
-/// fault branches.
+/// A deadline receive, the spec twin of [`crate::Comm::recv_deadline`]:
+/// allowed to expire on fault branches.
 pub fn recv_deadline(src: usize, tag: Tag) -> Node {
     Node::Op(Op::Recv { src, tag, blocking: false })
 }

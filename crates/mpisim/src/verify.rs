@@ -4,11 +4,14 @@
 //! The verifier enumerates every *scenario* — one live arm chosen at
 //! each [`Node::Branch`] site across all ranks — unrolls loops, and
 //! checks each scenario with an abstract scheduler that models mpisim's
-//! semantics exactly: sends are eager and never block, blocking receives
-//! wait for a matching in-flight message, deadline receives expire only
-//! when nothing else in the world can make progress (a timeout is the
-//! last resort, mirroring a generously sized deadline), and collectives
-//! complete when every member of the communicator reaches one.
+//! semantics exactly: sends are eager and never block, receives wait for
+//! a matching in-flight message, and collectives complete when every
+//! member of the communicator reaches one. When no rank can advance it
+//! applies the runtime's quiescence rule ([`crate::comm`]) in the same
+//! order: (1) in-flight messages are matched first — a message the
+//! runtime delays is simply in flight here; (2) otherwise every deadline
+//! receive expires; (3) otherwise the blocked receives and collectives
+//! are stuck and classified (E0702/E0703).
 //!
 //! | code  | severity | meaning |
 //! |-------|----------|---------|
@@ -515,6 +518,8 @@ fn simulate(
     }
 
     loop {
+        // Every rank advances while it can; receives match in-flight
+        // messages (step 1 of the quiescence rule).
         let mut progress = false;
         for r in 0..n {
             while let Some((op, idx)) = progs[r].get(pc[r]).map(|f| (f.op.clone(), f.idx)) {
@@ -574,8 +579,8 @@ fn simulate(
         if (0..n).all(|r| pc[r] >= progs[r].len()) {
             break;
         }
-        // No rank can advance. Deadline receives expire now — the last
-        // resort, modeling a timeout longer than any live peer needs.
+        // No rank can advance: step 2 of the quiescence rule, every
+        // deadline receive expires.
         let mut timed = false;
         for r in 0..n {
             if let Some(f) = progs[r].get(pc[r]) {
@@ -589,8 +594,8 @@ fn simulate(
         if timed {
             continue;
         }
-        // Genuinely stuck: blocking receives or collectives that can
-        // never complete. Classify via the wait-for graph.
+        // Step 3, genuinely stuck: blocking receives or collectives that
+        // can never complete. Classify via the wait-for graph.
         report_stuck(progs, &pc, &in_flight, &members, scenario, emit);
         return;
     }

@@ -10,7 +10,6 @@
 use esm_core::{CoupledEsm, EsmConfig, ResilienceConfig};
 use mpisim::{FaultAction, FaultPlan};
 use std::sync::Arc;
-use std::time::Duration;
 
 fn main() {
     let cfg = EsmConfig::tiny();
@@ -20,7 +19,8 @@ fn main() {
     println!("=== resilience demo: 6 coupling windows under injected faults ===\n");
     println!("fault plan:");
     println!("  window 1: duplicate the rank2->rank0 guard report (dedup absorbs it)");
-    println!("  window 2: delay the rank0->rank1 verdict 5 ms (backoff rides it out)");
+    println!("  window 2: delay the rank0->rank1 verdict (held until the guard's world is quiescent,");
+    println!("            then delivered before any receive may time out)");
     println!("  window 3: DROP the rank1->rank0 guard report      -> rollback");
     println!("  window 5: KILL rank 2 before it reports           -> rollback");
     println!("  plus: checkpoint generation 3 gets a flipped byte on disk,");
@@ -29,13 +29,12 @@ fn main() {
     let plan = Arc::new(
         FaultPlan::new()
             .inject(2, 0, 1, FaultAction::Duplicate)
-            .inject(0, 1, 2, FaultAction::Delay(Duration::from_millis(5)))
+            .inject(0, 1, 2, FaultAction::Delay)
             .inject(1, 0, 3, FaultAction::Drop)
             .kill_rank(2, 5),
     );
     let rcfg = ResilienceConfig {
         checkpoint_every: 2,
-        recv_timeout: Duration::from_millis(80),
         corrupt_generations: vec![3],
         ..ResilienceConfig::default()
     };

@@ -35,7 +35,7 @@ fn distributed_cg_matches_serial_to_tolerance() {
         .collect();
     let eta_ref = Arc::new(eta_ref);
 
-    let (_, traffic) = World::run_with_stats(np, |comm| {
+    let solve = |comm: mpisim::Comm| {
         let sub = subs[comm.rank()].clone();
         let x = RankExchange::new(&comm, &sub, 50);
         let depths_l = vec![3000.0; sub.n_cells];
@@ -58,8 +58,12 @@ fn distributed_cg_matches_serial_to_tolerance() {
                 eta_ref[gc]
             );
         }
-        st.iterations
-    });
+        eta.as_slice()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect::<Vec<u64>>()
+    };
+    let (eta_bits, traffic) = World::run_with_stats(np, solve);
 
     // Every iteration performed global reductions (3 dots) and a halo
     // exchange: the collective count must reflect that.
@@ -69,6 +73,14 @@ fn distributed_cg_matches_serial_to_tolerance() {
         traffic.collectives
     );
     assert!(traffic.p2p_messages > 0, "halo exchanges must flow");
+
+    // Collectives fold in rank order, whichever rank thread arrives
+    // first, so a second solve reproduces the first bit for bit.
+    let (eta_bits_again, _) = World::run_with_stats(np, solve);
+    assert_eq!(
+        eta_bits_again, eta_bits,
+        "np = {np}: distributed CG is not reproducible"
+    );
 }
 
 #[test]

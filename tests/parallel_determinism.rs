@@ -146,7 +146,6 @@ fn concurrent_coupling_is_bitwise_identical_across_pool_widths() {
 use esm_core::{HealthConfig, SupervisorConfig};
 use mpisim::FaultPlan;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Widths the supervised sweep runs at. Smaller than [`WIDTHS`] because
 /// every run pays real heartbeat deadlines in wall-clock time.
@@ -157,8 +156,6 @@ fn supervised_fingerprint(threads: usize) -> RunFingerprint {
     let dir = scratch(&format!("sup_{threads}"));
     let scfg = SupervisorConfig {
         health: HealthConfig {
-            beat_timeout: Duration::from_millis(50),
-            hang_hold: Duration::from_millis(75),
             suspicion_threshold: 2,
         },
         ..SupervisorConfig::default()

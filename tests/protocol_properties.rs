@@ -242,6 +242,23 @@ fn unmutated_driver_specs_verify_clean() {
     }
 }
 
+/// A deadline receive expires only when the world is quiescent, never
+/// on a clock: a peer that sleeps 300 ms before it sends (a descheduled
+/// thread) is still waited for.
+#[test]
+fn deadline_receive_waits_for_a_slow_peer() {
+    let results = mpisim::World::run(2, |comm| {
+        if comm.rank() == 1 {
+            std::thread::sleep(Duration::from_millis(300));
+            comm.send(0, 9, &[42.0]);
+            Ok(Vec::new())
+        } else {
+            comm.recv_deadline(1, 9)
+        }
+    });
+    assert_eq!(results[0], Ok(vec![42.0]));
+}
+
 /// This is the only test in this binary that reconfigures the
 /// process-global pool width, so no width lock is needed here.
 #[test]
@@ -274,7 +291,6 @@ fn live_driver_traces_conform_at_both_widths() {
         std::fs::remove_dir_all(&dir).ok();
         let rcfg = ResilienceConfig {
             checkpoint_every: 2,
-            recv_timeout: Duration::from_millis(80),
             ..ResilienceConfig::default()
         };
         let mut esm = CoupledEsm::new(EsmConfig::tiny());
