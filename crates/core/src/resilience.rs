@@ -519,20 +519,6 @@ fn side_of_var(name: &str) -> &'static str {
     }
 }
 
-/// First variable whose raw bits differ between two aligned snapshots.
-/// Bit comparison, not `==`: the detectors' containment contract is
-/// bitwise, and NaN payloads must count as differences.
-fn first_bitwise_mismatch(a: &Snapshot, b: &Snapshot) -> Option<String> {
-    for ((name, x), (_, y)) in a.vars.iter().zip(&b.vars) {
-        if x.len() != y.len()
-            || x.iter().zip(y).any(|(p, q)| p.to_bits() != q.to_bits())
-        {
-            return Some(name.clone());
-        }
-    }
-    None
-}
-
 /// Detector 1b: step-to-step delta plausibility. A coupling flux that
 /// jumps more than `frac` of its declared physical span between
 /// verified states is suspect even when both endpoints are in bounds
@@ -686,9 +672,15 @@ impl CoupledEsm {
             // over the bitwise-deterministic window graph. Runs on the
             // audit schedule, before a checkpoint lands (the ring must
             // only ever hold verified states), and on any
-            // delta-plausibility suspicion. On a pass the re-execution
-            // leaves the live state bitwise equal to `snap`, and `snap`
-            // becomes the next verification baseline.
+            // delta-plausibility suspicion. The re-execution always uses
+            // concurrent coupling, ocean+BGC on the second thread: the
+            // concurrent ≡ sequential bitwise contract keeps the verdict,
+            // and a sequential live run is cross-checked against the
+            // other schedule for free. It is compared against `snap` in
+            // place, so a window holds at most two state copies (`snap`
+            // and `verified`) beside the live model. On a pass the live
+            // state is bitwise equal to `snap`, and `snap` becomes the
+            // next verification baseline.
             let mut audit_passed = false;
             if fault.is_none() && sdc_on {
                 if let Some(base) = &verified {
@@ -698,8 +690,8 @@ impl CoupledEsm {
                         report.audit_replays += 1;
                         let span = window - verified_at;
                         self.restore_same_shape(base);
-                        self.run_windows(span as usize, concurrent).map_err(flux_err)?;
-                        match first_bitwise_mismatch(&self.snapshot(), &snap) {
+                        self.run_windows(span as usize, true).map_err(flux_err)?;
+                        match self.first_bitwise_mismatch(&snap) {
                             None => audit_passed = true,
                             Some(var) => fault = Some(WindowFault::Audit { var }),
                         }
@@ -742,9 +734,18 @@ impl CoupledEsm {
                 None => {
                     done += 1;
                     attempts = 0;
+                    // An audited state becomes the baseline at once, so
+                    // the old baseline is freed before the checkpoint is
+                    // encoded.
+                    let snap = if audit_passed {
+                        verified_at = done;
+                        &*verified.insert(snap)
+                    } else {
+                        &snap
+                    };
                     if checkpoint_due {
                         let what = format!("window {done}:");
-                        if let Some(g) = checkpoint(&mut report, &mut ring, &snap, &what)? {
+                        if let Some(g) = checkpoint(&mut report, &mut ring, snap, &what)? {
                             newest_gen = g;
                         }
                     }
@@ -778,10 +779,6 @@ impl CoupledEsm {
                             }
                         }
                     }
-                    if audit_passed {
-                        verified = Some(snap);
-                        verified_at = done;
-                    }
                 }
                 Some(fault) => {
                     report.rollbacks += 1;
@@ -812,6 +809,10 @@ impl CoupledEsm {
                     }
                     // Roll back to the newest generation that reads back
                     // intact; torn or bit-flipped generations are skipped.
+                    // Both held copies are dead by now: free them before
+                    // the restored snapshot is allocated.
+                    drop(snap);
+                    verified = None;
                     let (g, good) = ring.read_latest_intact(rcfg.n_readers)?;
                     if g != newest_gen {
                         report.generation_fallbacks += 1;

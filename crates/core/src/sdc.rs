@@ -281,13 +281,20 @@ pub fn apply_due_flips(esm: &mut CoupledEsm, plan: &StateFaultPlan, window: u64)
     applied
 }
 
-/// CRC-32 over the raw bits of an f64 buffer. The CRC test suite proves
-/// every single-bit flip changes the digest, so a per-window comparison
-/// against a reference detects any one flip exactly.
+/// CRC-32 over the raw bits of an f64 buffer (its little-endian bytes).
+/// The CRC test suite proves every single-bit flip changes the digest,
+/// so a per-window comparison against a reference detects any one flip
+/// exactly. The values are staged through a 512-byte stack block, so the
+/// hasher's slice kernel sees whole blocks, not one 8-byte update each.
 pub fn crc_f64(data: &[f64]) -> u32 {
+    const BLOCK: usize = 64;
     let mut h = iosys::crc::Crc32::new();
-    for v in data {
-        h.update(&v.to_bits().to_le_bytes());
+    let mut bytes = [0u8; BLOCK * 8];
+    for vals in data.chunks(BLOCK) {
+        for (b, v) in bytes.chunks_exact_mut(8).zip(vals) {
+            b.copy_from_slice(&v.to_le_bytes());
+        }
+        h.update(&bytes[..vals.len() * 8]);
     }
     h.finalize()
 }

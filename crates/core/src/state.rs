@@ -18,7 +18,7 @@ use crate::esm::CoupledEsm;
 use crate::supervisor::Side;
 use coupler::exchange::FluxSet;
 use iosys::Snapshot;
-use std::borrow::Cow;
+use std::fmt;
 
 /// How a table row reaches its data.
 #[derive(Clone, Copy)]
@@ -137,38 +137,69 @@ pub(crate) static QUIESCENT_VARS: [StateVar; 5] = [
     var("static.oce_dz", SLOW, buf!(ocean.params.dz)),
 ];
 
-/// A snapshot variable's name: the table's for a plain buffer, built for
-/// a member of a family row.
-type Name = Cow<'static, str>;
+/// A snapshot variable's name, formatted only when displayed: the row's
+/// own name for a plain buffer, the row's prefix plus the member for a
+/// family row.
+#[derive(Clone, Copy)]
+struct VarName {
+    row: &'static str,
+    member: Member,
+}
+
+#[derive(Clone, Copy)]
+enum Member {
+    Whole,
+    Tracer(usize),
+    Flux(&'static str),
+}
+
+impl fmt::Display for VarName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.member {
+            Member::Whole => f.write_str(self.row),
+            Member::Tracer(i) => write!(f, "{}{i:02}", self.row),
+            Member::Flux(n) => write!(f, "{}.{n}", self.row),
+        }
+    }
+}
 
 impl StateVar {
-    /// The f64 buffers behind this row, under their snapshot names (only
-    /// the family rows have to build theirs).
-    fn bufs<'a>(&self, e: &'a CoupledEsm) -> Vec<(Name, &'a [f64])> {
-        match self.access {
-            Access::Buf(get, _) => vec![(self.name.into(), get(e))],
-            Access::WaterMask => Vec::new(),
-            Access::Tracers => (e.hamocc.tracers.iter().enumerate())
-                .map(|(i, t)| (format!("{}{i:02}", self.name).into(), t.as_slice()))
-                .collect(),
-            Access::Lag(get, _) => (get(e).fields.iter())
-                .map(|(n, d)| (format!("{}.{n}", self.name).into(), d.as_slice()))
-                .collect(),
-        }
+    /// The f64 buffers behind this row, in snapshot order, under their
+    /// (lazily formatted) snapshot names. Allocates nothing.
+    fn bufs<'a>(&self, e: &'a CoupledEsm) -> impl Iterator<Item = (VarName, &'a [f64])> {
+        let row = self.name;
+        let (one, tracers, lag) = match self.access {
+            Access::Buf(get, _) => (Some(get(e)), None, None),
+            Access::WaterMask => (None, None, None),
+            Access::Tracers => (None, Some(&e.hamocc.tracers), None),
+            Access::Lag(get, _) => (None, None, Some(get(e))),
+        };
+        let one = one.map(move |d| (VarName { row, member: Member::Whole }, d));
+        let tracers = (tracers.into_iter().flatten().enumerate())
+            .map(move |(i, t)| (VarName { row, member: Member::Tracer(i) }, t.as_slice()));
+        let lag = (lag.into_iter().flat_map(|l| &l.fields))
+            .map(move |(n, d)| (VarName { row, member: Member::Flux(n) }, d.as_slice()));
+        one.into_iter().chain(tracers).chain(lag)
     }
 
     /// [`StateVar::bufs`], mutably.
-    fn bufs_mut<'a>(&self, e: &'a mut CoupledEsm) -> Vec<(Name, &'a mut [f64])> {
-        match self.access {
-            Access::Buf(_, get_mut) => vec![(self.name.into(), get_mut(e))],
-            Access::WaterMask => Vec::new(),
-            Access::Tracers => (e.hamocc.tracers.iter_mut().enumerate())
-                .map(|(i, t)| (format!("{}{i:02}", self.name).into(), t.as_mut_slice()))
-                .collect(),
-            Access::Lag(_, get_mut) => (get_mut(e).fields.iter_mut())
-                .map(|(n, d)| (format!("{}.{n}", self.name).into(), d.as_mut_slice()))
-                .collect(),
-        }
+    fn bufs_mut<'a>(
+        &self,
+        e: &'a mut CoupledEsm,
+    ) -> impl Iterator<Item = (VarName, &'a mut [f64])> {
+        let row = self.name;
+        let (one, tracers, lag) = match self.access {
+            Access::Buf(_, get_mut) => (Some(get_mut(e)), None, None),
+            Access::WaterMask => (None, None, None),
+            Access::Tracers => (None, Some(&mut e.hamocc.tracers), None),
+            Access::Lag(_, get_mut) => (None, None, Some(get_mut(e))),
+        };
+        let one = one.map(move |d| (VarName { row, member: Member::Whole }, d));
+        let tracers = (tracers.into_iter().flatten().enumerate())
+            .map(move |(i, t)| (VarName { row, member: Member::Tracer(i) }, t.as_mut_slice()));
+        let lag = (lag.into_iter().flat_map(|l| &mut l.fields))
+            .map(move |(n, d)| (VarName { row, member: Member::Flux(n) }, d.as_mut_slice()));
+        one.into_iter().chain(tracers).chain(lag)
     }
 }
 
@@ -213,7 +244,7 @@ impl CoupledEsm {
                 push(s, v.name, mask.iter().map(|&b| b as u8 as f64).collect());
             }
             for (name, data) in v.bufs(self) {
-                push(s, name, data.to_vec());
+                push(s, name.to_string(), data.to_vec());
             }
         }
     }
@@ -226,21 +257,31 @@ impl CoupledEsm {
                 }
             }
             for (name, data) in v.bufs_mut(self) {
-                data.copy_from_slice(s.expect(&name));
+                data.copy_from_slice(s.expect(&name.to_string()));
             }
         }
     }
 
-    /// One side's scalar record: what its components carry besides
-    /// buffers (the water ledger rides with the atmosphere that fills it).
+    /// The `esm.scalars` record: the window count, then the fast side's
+    /// scalars (`[1..4]`), then the slow side's (`[4..]`) — what the
+    /// components carry besides buffers (the water ledger rides with the
+    /// atmosphere that fills it).
+    fn esm_scalars(&self) -> [f64; 5] {
+        [
+            self.windows_run as f64,
+            self.ocean_water_received_kg,
+            self.atm.state.time_s,
+            self.land.state.time_s,
+            self.ocean.state.time_s,
+        ]
+    }
+
+    /// One side's scalar record.
     fn scalars(&self, side: Side) -> Vec<f64> {
+        let all = self.esm_scalars();
         match side {
-            Side::Fast => vec![
-                self.ocean_water_received_kg,
-                self.atm.state.time_s,
-                self.land.state.time_s,
-            ],
-            Side::Slow => vec![self.ocean.state.time_s],
+            Side::Fast => all[1..4].to_vec(),
+            Side::Slow => all[4..].to_vec(),
         }
     }
 
@@ -259,11 +300,38 @@ impl CoupledEsm {
     pub fn snapshot(&self) -> Snapshot {
         let mut s = Snapshot::new();
         self.push_rows(None, &mut s);
-        let mut scalars = vec![self.windows_run as f64];
-        scalars.extend(self.scalars(Side::Fast));
-        scalars.extend(self.scalars(Side::Slow));
-        push(&mut s, "esm.scalars", scalars);
+        push(&mut s, "esm.scalars", self.esm_scalars().to_vec());
         s
+    }
+
+    /// The first variable of `s`, a [`CoupledEsm::snapshot`] of this
+    /// instance, whose raw bits differ from the live state — compared in
+    /// place, variable by variable in snapshot order, so no second
+    /// snapshot is taken and only the reported name is formatted. Bits,
+    /// not `==`: the detectors' containment contract is bitwise, and NaN
+    /// payloads count as differences.
+    pub(crate) fn first_bitwise_mismatch(&self, s: &Snapshot) -> Option<String> {
+        fn same(live: impl ExactSizeIterator<Item = f64>, saved: Option<&[f64]>) -> bool {
+            saved.is_some_and(|d| {
+                d.len() == live.len() && live.zip(d).all(|(x, y)| x.to_bits() == y.to_bits())
+            })
+        }
+        let mut saved = s.vars.iter().map(|(_, d)| d.as_slice());
+        for v in rows(None) {
+            if let Access::WaterMask = v.access {
+                let mask = self.atm.state.is_water.iter().map(|&b| b as u8 as f64);
+                if !same(mask, saved.next()) {
+                    return Some(v.name.to_string());
+                }
+            }
+            for (name, data) in v.bufs(self) {
+                if !same(data.iter().copied(), saved.next()) {
+                    return Some(name.to_string());
+                }
+            }
+        }
+        let scalars = self.esm_scalars();
+        (!same(scalars.into_iter(), saved.next())).then(|| "esm.scalars".to_string())
     }
 
     /// One component group's half of the model state (localized
@@ -335,7 +403,7 @@ impl CoupledEsm {
     /// model state).
     pub fn flippable_var_names(&self) -> Vec<String> {
         (STATE_VARS.iter().flat_map(|v| v.bufs(self)))
-            .map(|(name, _)| name.into_owned())
+            .map(|(name, _)| name.to_string())
             .collect()
     }
 
@@ -343,16 +411,18 @@ impl CoupledEsm {
     /// SDC injection point). `None` for unknown names and for the
     /// non-f64 variables excluded from [`CoupledEsm::flippable_var_names`].
     pub fn state_var_mut(&mut self, name: &str) -> Option<&mut [f64]> {
-        let bufs = lookup(name)?.bufs_mut(self);
-        bufs.into_iter().find(|(n, _)| n == name).map(|(_, d)| d)
+        let mut bufs = lookup(name)?.bufs_mut(self);
+        bufs.find(|(n, _)| n.to_string() == name).map(|(_, d)| d)
     }
 
     /// Health probe of one component group: the first non-finite value
     /// in the buffers it owns, as `(variable, value)`. `None` means the
     /// group is numerically healthy.
-    pub(crate) fn first_nonfinite(&self, side: Side) -> Option<(Name, f64)> {
-        (rows(Some(side)).flat_map(|v| v.bufs(self)))
-            .find_map(|(name, d)| d.iter().find(|x| !x.is_finite()).map(|&x| (name, x)))
+    pub(crate) fn first_nonfinite(&self, side: Side) -> Option<(String, f64)> {
+        (rows(Some(side)).flat_map(|v| v.bufs(self))).find_map(|(name, d)| {
+            let x = d.iter().find(|x| !x.is_finite())?;
+            Some((name.to_string(), *x))
+        })
     }
 
     /// The names of the static buffers (`QUIESCENT_VARS`), in table order.
@@ -369,13 +439,13 @@ impl CoupledEsm {
     /// Read access to a quiescent (static) buffer by registry name.
     pub fn quiescent_buffer(&self, name: &str) -> Option<&[f64]> {
         let row = QUIESCENT_VARS.iter().find(|v| v.name == name)?;
-        row.bufs(self).pop().map(|(_, d)| d)
+        row.bufs(self).next().map(|(_, d)| d)
     }
 
     /// Mutable access to a quiescent buffer (the SDC injection point for
     /// [`crate::sdc::SdcMode::Quiescent`] and the repair path).
     pub fn quiescent_buffer_mut(&mut self, name: &str) -> Option<&mut [f64]> {
         let row = QUIESCENT_VARS.iter().find(|v| v.name == name)?;
-        row.bufs_mut(self).pop().map(|(_, d)| d)
+        row.bufs_mut(self).next().map(|(_, d)| d)
     }
 }

@@ -36,7 +36,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::crc::crc32;
+use crate::crc::{self, crc32};
 use crate::error::RestartError;
 use crate::vfs::{RealFs, Storage};
 
@@ -101,6 +101,9 @@ fn encode_file_v2(snapshot: &Snapshot, f: usize, n_files: usize) -> Vec<u8> {
     out.extend_from_slice(&(f as u32).to_le_bytes());
     out.extend_from_slice(&(n_files as u32).to_le_bytes());
     out.extend_from_slice(&(mine.len() as u32).to_le_bytes());
+    // The file CRC is combined from the header's and the records' CRCs,
+    // so every payload byte is hashed once, not twice.
+    let mut file_crc = crc32(&out);
     for (name, data) in mine {
         let record_start = out.len();
         let nb = name.as_bytes();
@@ -111,9 +114,11 @@ fn encode_file_v2(snapshot: &Snapshot, f: usize, n_files: usize) -> Vec<u8> {
             out.extend_from_slice(&v.to_le_bytes());
         }
         let var_crc = crc32(&out[record_start..]);
-        out.extend_from_slice(&var_crc.to_le_bytes());
+        let var_crc_bytes = var_crc.to_le_bytes();
+        file_crc = crc::combine(file_crc, var_crc, out.len() - record_start);
+        file_crc = crc::combine(file_crc, crc32(&var_crc_bytes), 4);
+        out.extend_from_slice(&var_crc_bytes);
     }
-    let file_crc = crc32(&out);
     out.extend_from_slice(&file_crc.to_le_bytes());
     out.extend_from_slice(TRAILER_MAGIC);
     out
