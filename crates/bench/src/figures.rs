@@ -571,9 +571,7 @@ pub fn resilience() -> Value {
 
     println!("\n== Resilience: supervised chaos runs (tiny config) ==");
     let scfg = SupervisorConfig {
-        health: HealthConfig {
-            suspicion_threshold: 2,
-        },
+        health: HealthConfig::default(),
         ..SupervisorConfig::default()
     };
     let scratch = |tag: &str| {
@@ -914,36 +912,46 @@ pub fn sdc() -> Value {
     })
 }
 
-/// `results/protocol.json` — the protocol-verification artifact: static
-/// verifier coverage of every hand-authored driver spec (ops, branch
-/// scenarios, E07xx counts) and live trace conformance of the coupled
-/// drivers under each chaos mode.
+/// `results/protocol.json` — the protocol artifact: every communication
+/// round of the coupled drivers explored as the code that runs it
+/// (`esm_core::explore_rounds`; per protocol and rank count: fault runs,
+/// outcomes, and in how many fault runs each E07xx code was found), and
+/// the live exit check of the coupled drivers under each chaos mode.
 pub fn protocol() -> Value {
     use esm_core::{CoupledEsm, EsmConfig, HealthConfig, ResilienceConfig, SupervisorConfig};
     use mpisim::{FaultAction, FaultPlan};
     use std::sync::Arc;
 
-    println!("\n== Protocol: static spec verification + live trace conformance ==");
-    let specs: Vec<Value> = esm_core::protocolspec::all_specs()
+    println!("\n== Protocol: the rounds that run, explored; live exit check ==");
+    let counts = |m: std::collections::BTreeMap<String, usize>| {
+        Value::Map(m.into_iter().map(|(k, v)| (k, json!(v))).collect())
+    };
+    let explored: Vec<Value> = esm_core::explore_rounds()
         .iter()
-        .map(|s| {
-            let r = mpisim::verify_spec(s);
+        .map(|r| {
+            let rep = &r.report;
+            let mut codes = std::collections::BTreeMap::new();
+            for c in rep.faults.iter().flat_map(|run| run.codes()) {
+                *codes.entry(c.code().to_string()).or_insert(0) += 1;
+            }
             println!(
-                "{:>20}: {} ranks, {} ops, {} scenarios, {} errors, {} warnings",
-                r.spec,
-                s.n_ranks(),
-                r.ops,
-                r.scenarios,
+                "{:>22} on {} ranks: {} fault runs, {} errors{} {:?}",
+                rep.name,
+                rep.n,
+                rep.faults.len(),
                 r.errors(),
-                r.warnings(),
+                if r.gate_faults { "" } else { " (fault runs not gated)" },
+                rep.outcomes(),
             );
             json!({
-                "spec": r.spec,
-                "ranks": s.n_ranks(),
-                "ops_verified": r.ops,
-                "scenarios": r.scenarios,
-                "errors": r.errors(),
-                "warnings": r.warnings(),
+                "protocol": rep.name,
+                "ranks": rep.n,
+                "fault_runs": rep.faults.len(),
+                "faults_gated": r.gate_faults,
+                "nominal_errors": rep.nominal_errors(),
+                "fault_errors": rep.fault_errors(),
+                "outcomes": counts(rep.outcomes()),
+                "codes": counts(codes),
             })
         })
         .collect();
@@ -954,14 +962,9 @@ pub fn protocol() -> Value {
         std::fs::remove_dir_all(&d).ok();
         d
     };
-    let conform_row = |tag: &str, report: &esm_core::ResilienceReport| -> Value {
-        let mean_trace = if report.protocol_rounds > 0 {
-            report.protocol_ops_matched as f64 / report.protocol_rounds as f64
-        } else {
-            0.0
-        };
+    let exit_row = |tag: &str, report: &esm_core::ResilienceReport| -> Value {
         println!(
-            "{tag:>20}: {} rounds, {} trace ops matched ({mean_trace:.1}/round), {} violations",
+            "{tag:>22}: {} rounds, {} trace events checked, {} violations",
             report.protocol_rounds,
             report.protocol_ops_matched,
             report.protocol_violations.len(),
@@ -969,10 +972,8 @@ pub fn protocol() -> Value {
         json!({
             "mode": tag,
             "rounds": report.protocol_rounds,
-            "trace_ops_matched": report.protocol_ops_matched,
-            "mean_trace_ops_per_round": mean_trace,
+            "trace_events_checked": report.protocol_ops_matched,
             "violations": report.protocol_violations,
-            "conformant": report.protocol_violations.is_empty(),
         })
     };
 
@@ -993,14 +994,12 @@ pub fn protocol() -> Value {
         let report = esm
             .run_windows_resilient(windows, false, &dir, &rcfg, plan)
             .expect("a dropped guard partial is absorbable");
-        rows.push(conform_row(tag, &report));
+        rows.push(exit_row(tag, &report));
         std::fs::remove_dir_all(&dir).ok();
     }
     // Supervised driver (heartbeat protocol): the chaos-matrix modes.
     let scfg = SupervisorConfig {
-        health: HealthConfig {
-            suspicion_threshold: 2,
-        },
+        health: HealthConfig::default(),
         ..SupervisorConfig::default()
     };
     for mode in ["fault-free", "kill", "hang", "corrupt-flux"] {
@@ -1019,13 +1018,13 @@ pub fn protocol() -> Value {
         let report = esm
             .run_windows_supervised(8, &dir, &scfg, plan)
             .expect("every chaos mode is absorbable");
-        rows.push(conform_row(&format!("heartbeat/{mode}"), &report));
+        rows.push(exit_row(&format!("heartbeat/{mode}"), &report));
         std::fs::remove_dir_all(&dir).ok();
     }
 
     json!({
-        "specs": specs,
-        "conformance": rows,
+        "explored": explored,
+        "exit_check": rows,
     })
 }
 

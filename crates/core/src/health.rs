@@ -342,9 +342,7 @@ mod tests {
 
     #[test]
     fn hangs_are_detected_without_killing_the_rank() {
-        let hc = HealthConfig {
-            suspicion_threshold: 2,
-        };
+        let hc = HealthConfig::default();
         let plan = Arc::new(FaultPlan::new().hang(1, 1));
         let mut d = FailureDetector::new(3, &hc);
         let payloads: Vec<Vec<f64>> = (0..3).map(|_| vec![0.0]).collect();

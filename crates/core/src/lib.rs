@@ -21,10 +21,10 @@
 //!   recovery (`run_windows_supervised`): a failed component group
 //!   respawns from its own checkpoint ring and replays while the healthy
 //!   group continues on persisted fluxes;
-//! * [`protocolspec`] — hand-authored communication-protocol specs for
-//!   the drivers above (guard rounds, heartbeats, coupler halo
-//!   exchange), statically verified by `mpisim::verify` (E07xx) and
-//!   pinned to the live drivers by trace conformance;
+//! * [`rounds`] — the drivers' communication rounds (guard round,
+//!   heartbeat, coupler halo exchange) explored as the code that runs
+//!   them, fault-free and under every single fault (`mpisim::explore`,
+//!   E07xx); live rounds keep a cheap exit check on their traces;
 //! * [`sdc`] — silent-data-corruption fault domain: seeded in-state
 //!   bit-flip injection ([`sdc::StateFaultPlan`]) and the quiescence
 //!   checksums backing the resilient driver's three SDC detectors
@@ -39,9 +39,9 @@ pub mod config;
 pub mod esm;
 pub mod fluxspec;
 pub mod health;
-pub mod protocolspec;
 pub mod replay;
 pub mod resilience;
+pub mod rounds;
 pub mod sdc;
 pub mod solar;
 pub mod state;
@@ -52,11 +52,9 @@ pub use config::EsmConfig;
 pub use coupler::{FluxError, QuarantineEvent, RepairPolicy};
 pub use esm::CoupledEsm;
 pub use health::{FailureDetector, HealthConfig, HealthError, HealthEvent, HealthEventKind};
-pub use protocolspec::{
-    all_specs, coupler_exchange_spec, guard_spec, heartbeat_spec, supervised_spec,
-};
 pub use replay::{ReplayConfig, ReplayState, WindowReplayStats, WindowShape};
 pub use resilience::{EsmError, ResilienceConfig, ResilienceReport};
+pub use rounds::{explore_rounds, ExploredRound};
 pub use sdc::{FlipTarget, QuiescenceReference, SdcInjection, SdcMode, StateFaultPlan};
 pub use supervisor::{Side, SupervisorConfig};
 pub use timers::Timers;

@@ -42,10 +42,10 @@
 
 use crate::esm::CoupledEsm;
 use crate::health::{FailureDetector, HealthConfig, HealthError, Verdict};
-use crate::resilience::{open_ring, EsmError, ResilienceReport};
+use crate::resilience::{faults_fired, open_ring, EsmError, ResilienceReport};
 use coupler::{FluxSet, PersistenceFallback, QuarantineGate, RepairPolicy};
 use iosys::{CheckpointRing, RestartError, RetryPolicy, Storage};
-use mpisim::{conform, heartbeat_round_traced, FaultPlan};
+use mpisim::{heartbeat_round_traced, FaultPlan};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -398,7 +398,6 @@ impl CoupledEsm {
         };
         // Generation covering the starting state, so window 0 can recover.
         sup.checkpoint(self, 0);
-        let hb_spec = crate::protocolspec::supervised_spec();
         let graph0 = self.replay.stats;
         // Pristine static-buffer checksums, captured before any SDC flip
         // can fire.
@@ -430,6 +429,7 @@ impl CoupledEsm {
                 vec![abs as f64, probes[1].is_some() as u8 as f64],
             ];
             let down_ranks = [false, sup.down[0], sup.down[1]];
+            let fired = faults_fired(sup.plan.as_ref());
             let (statuses, traces) = heartbeat_round_traced(
                 3,
                 abs,
@@ -438,10 +438,10 @@ impl CoupledEsm {
                 &down_ranks,
                 &payloads,
             );
-            // Pin the round to the verified heartbeat protocol: any
-            // divergence (wrong tag, unexpected message, skipped recv)
-            // lands in the report as a protocol violation.
-            sup.report.absorb_conformance(conform(&hb_spec, abs, &traces));
+            // The exit check: a collision, or a beat left unreceived
+            // without a fault, lands in the report as a violation.
+            let fault_fired = faults_fired(sup.plan.as_ref()) > fired;
+            sup.report.absorb_round(&traces, fault_fired);
             let verdicts = sup.detector.observe(abs, &statuses);
 
             // ---- 3. transitions: declare failures, schedule respawns.
@@ -579,9 +579,7 @@ mod tests {
 
     fn quick_scfg() -> SupervisorConfig {
         SupervisorConfig {
-            health: HealthConfig {
-                suspicion_threshold: 2,
-            },
+            health: HealthConfig::default(),
             ..SupervisorConfig::default()
         }
     }

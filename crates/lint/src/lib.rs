@@ -121,17 +121,13 @@ pub struct LintSummary {
     pub units_inferred: usize,
     /// Coupler-boundary fluxes checked by the conservation closure.
     pub fluxes_checked: usize,
-    /// Driver protocol specs statically verified (guard, heartbeat,
-    /// coupler exchange — see `esm_core::protocolspec`).
-    pub protocol_specs: usize,
-    /// Total spec ops covered by the protocol verifier.
-    pub protocol_ops: usize,
-    /// Branch-arm scenarios the protocol verifier simulated.
-    pub protocol_scenarios: usize,
-    /// E07xx errors/warnings from the protocol phase (also counted in
-    /// `errors`/`warnings`).
+    /// Driver communication rounds explored (guard, heartbeat, coupler
+    /// exchange — see `esm_core::explore_rounds`).
+    pub protocols: usize,
+    /// Single-fault runs of those rounds, over every rank count explored.
+    pub protocol_fault_runs: usize,
+    /// E07xx errors from the protocol phase (also counted in `errors`).
     pub protocol_errors: usize,
-    pub protocol_warnings: usize,
     /// Fixture-harness failures (an expected finding went undetected, or
     /// a fixture produced no error at all).
     pub fixture_failures: Vec<String>,
@@ -241,35 +237,40 @@ pub fn run_lint(out: &mut String) -> LintSummary {
     summary
 }
 
-/// The protocol phase: statically verify every hand-authored driver
-/// communication spec (`esm_core::protocolspec::all_specs`) with the
-/// mpisim protocol verifier — deadlock-freedom, send/receive/collective
-/// matching, tag-collision freedom (E0701–W0706). The same specs are
-/// pinned to the live drivers by trace conformance inside
-/// `run_windows_resilient` / `run_windows_supervised`, so a green phase
-/// here is a statement about the code that actually runs.
+/// The protocol phase: explore every communication round of the coupled
+/// drivers as the code that runs it (`esm_core::explore_rounds`,
+/// `mpisim::explore`). Each fault-free run must be clean (E0701–E0705);
+/// the guard and heartbeat rounds must also end every single-fault run
+/// without a hang, a cycle, a stuck collective, a collision or a panic.
 fn run_protocol(out: &mut String, summary: &mut LintSummary) {
-    for spec in esm_core::protocolspec::all_specs() {
-        let report = mpisim::verify_spec(&spec);
-        summary.protocol_specs += 1;
-        summary.protocol_ops += report.ops;
-        summary.protocol_scenarios += report.scenarios;
-        summary.protocol_errors += report.errors();
-        summary.protocol_warnings += report.warnings();
-        summary.errors += report.errors();
-        summary.warnings += report.warnings();
+    let rounds = esm_core::explore_rounds();
+    let mut names: Vec<&str> = rounds.iter().map(|r| r.report.name.as_str()).collect();
+    names.dedup();
+    summary.protocols = names.len();
+    for r in &rounds {
+        let report = &r.report;
+        summary.protocol_fault_runs += report.faults.len();
+        summary.protocol_errors += r.errors();
+        summary.errors += r.errors();
+        let outcomes: Vec<String> =
+            report.outcomes().iter().map(|(outcome, k)| format!("{k} {outcome}")).collect();
         let _ = writeln!(
             out,
-            "  [  proto] {}: {} ranks, {} ops, {} scenarios, {} errors, {} warnings",
-            report.spec,
-            spec.n_ranks(),
-            report.ops,
-            report.scenarios,
-            report.errors(),
-            report.warnings(),
+            "  [  proto] {} on {} ranks: {} fault runs ({}){}, {} errors",
+            report.name,
+            report.n,
+            report.faults.len(),
+            outcomes.join(", "),
+            if r.gate_faults { "" } else { " counted, not gated" },
+            r.errors(),
         );
-        for d in &report.diags {
-            let _ = writeln!(out, "    {d}");
+        for d in &report.nominal.findings {
+            let _ = writeln!(out, "    fault-free: {d}");
+        }
+        if r.gate_faults {
+            for run in report.faults.iter().filter(|run| run.error_count() > 0) {
+                let _ = writeln!(out, "    {}: {}", run.fault, run.outcome());
+            }
         }
     }
 }
@@ -327,10 +328,10 @@ fn run_conservation(out: &mut String, summary: &mut LintSummary) {
 }
 
 /// Every fixture the runner must execute: 7 verifier + 2 perf +
-/// 2 fusion + 3 units + 2 conservation + 6 protocol. A mismatch means a
+/// 2 fusion + 3 units + 2 conservation + 5 protocol. A mismatch means a
 /// fixture family was added (or dropped) without updating the runner,
 /// and fails the lint run — silently skipped fixtures are a dead gate.
-const EXPECTED_FIXTURES: usize = 22;
+const EXPECTED_FIXTURES: usize = 21;
 
 /// Run the deliberately-broken fixtures: every expected code must be
 /// produced. A fixture that passes the verifier (or refuses with the
@@ -474,10 +475,9 @@ fn run_fixtures(out: &mut String, summary: &mut LintSummary) {
     }
     for f in mpisim::broken_fixtures() {
         executed += 1;
-        let report = mpisim::verify_spec(&f.spec);
-        let hit = report.diags.iter().any(|d| d.code == f.expect);
-        let clean_ok = f.expect.severity() != "error" || !report.is_clean();
-        if hit && clean_ok {
+        let report = f.explore();
+        let codes = report.nominal.codes();
+        if codes.len() == 1 && codes.contains(&f.expect) {
             let _ = writeln!(
                 out,
                 "    {:<28} rejected as expected ({})",
@@ -485,9 +485,12 @@ fn run_fixtures(out: &mut String, summary: &mut LintSummary) {
                 f.expect.code()
             );
         } else {
-            summary
-                .fixture_failures
-                .push(format!("{}: expected {} not reported", f.name, f.expect.code()));
+            summary.fixture_failures.push(format!(
+                "{}: expected exactly {}, found {:?}",
+                f.name,
+                f.expect.code(),
+                codes
+            ));
             let _ = writeln!(out, "    {:<28} MISSED {}", f.name, f.expect.code());
         }
     }
@@ -756,11 +759,9 @@ pub fn lint_summary_json(summary: &LintSummary) -> Value {
         "units_warnings": summary.units_warnings,
         "units_inferred": summary.units_inferred,
         "fluxes_checked": summary.fluxes_checked,
-        "protocol_specs": summary.protocol_specs,
-        "protocol_ops": summary.protocol_ops,
-        "protocol_scenarios": summary.protocol_scenarios,
+        "protocols": summary.protocols,
+        "protocol_fault_runs": summary.protocol_fault_runs,
         "protocol_errors": summary.protocol_errors,
-        "protocol_warnings": summary.protocol_warnings,
         "fixture_failures": failures,
         "clean": summary.clean(),
     })
@@ -787,7 +788,7 @@ pub fn code_registry_json() -> Value {
     codes.extend(mpisim::ProtoCode::all().iter().map(|c| {
         json!({
             "code": c.code(),
-            "severity": c.severity(),
+            "severity": "error",
             "summary": c.summary(),
         })
     }));
@@ -899,32 +900,25 @@ mod tests {
         let text = serde_json::to_string_pretty(&lint_summary_json(&summary)).unwrap();
         assert!(text.contains("\"clean\": true"), "{text}");
         assert!(text.contains("\"targets\": 3"), "{text}");
-        assert!(text.contains("\"protocol_specs\": 3"), "{text}");
+        assert!(text.contains("\"protocols\": 3"), "{text}");
         assert!(text.contains("\"protocol_errors\": 0"), "{text}");
     }
 
     #[test]
-    fn protocol_phase_verifies_the_driver_specs_clean() {
+    fn protocol_phase_explores_the_driver_rounds_clean() {
         let mut out = String::new();
         let mut summary = LintSummary::default();
         run_protocol(&mut out, &mut summary);
-        assert_eq!(summary.protocol_specs, 3, "{out}");
+        assert_eq!(summary.protocols, 3, "{out}");
         assert_eq!(summary.protocol_errors, 0, "{out}");
-        assert_eq!(summary.protocol_warnings, 0, "{out}");
-        assert!(summary.protocol_ops > 0 && summary.protocol_scenarios > 0, "{out}");
+        assert!(summary.protocol_fault_runs > 0, "{out}");
     }
 
     #[test]
     fn every_broken_protocol_fixture_trips_its_exact_code() {
         for f in mpisim::broken_fixtures() {
-            let report = mpisim::verify_spec(&f.spec);
-            assert!(
-                report.diags.iter().any(|d| d.code == f.expect),
-                "{}: expected {} in {:#?}",
-                f.name,
-                f.expect.code(),
-                report.diags
-            );
+            let codes = f.explore().nominal.codes();
+            assert_eq!(codes, [f.expect].into(), "{}", f.name);
         }
     }
 
@@ -932,7 +926,7 @@ mod tests {
     fn code_registry_lists_every_family_once() {
         let reg = code_registry_json();
         let codes = reg.get("codes").and_then(Value::as_array).unwrap();
-        assert_eq!(codes.len(), 25 + 6, "full E01xx–E07xx registry");
+        assert_eq!(codes.len(), 25 + 5, "full E01xx–E07xx registry");
         let mut seen = std::collections::HashSet::new();
         for c in codes {
             let code = c.get("code").unwrap().as_str().unwrap();
@@ -941,7 +935,7 @@ mod tests {
             assert_eq!(sev, if code.starts_with('W') { "warning" } else { "error" });
             assert!(!c.get("summary").unwrap().as_str().unwrap().is_empty());
         }
-        for family in ["E0101", "E0503", "E0605", "E0701", "W0706"] {
+        for family in ["E0101", "E0503", "E0605", "E0701", "E0705"] {
             assert!(seen.contains(family), "missing {family}");
         }
     }

@@ -14,8 +14,8 @@
 //! # The quiescence rule
 //!
 //! There is no clock. When no rank is running, the world is *quiescent*,
-//! and the scheduler takes the first of these steps that lets a rank run
-//! again:
+//! and the scheduler ([`Scheduler::quiesce`], the only place this rule
+//! exists) takes the first of these steps that lets a rank run again:
 //!
 //! 1. messages held back by [`FaultAction::Delay`] are delivered;
 //! 2. otherwise every parked deadline receive ([`Comm::recv_deadline`])
@@ -24,16 +24,23 @@
 //!    [`CommError::ProtocolHang`], or, if none is parked, every parked
 //!    collective panics naming its communicator: it can never complete.
 //!
-//! This is the order in which [`crate::verify`]'s abstract scheduler
-//! resolves a stuck configuration, so "a deadline receive expires" means
-//! the same to the static verifier as at run time: only when nothing
-//! else in the world can advance. A peer that is merely slow (a
-//! descheduled thread) is always waited for, and no outcome depends on
-//! how the host schedules threads. Collectives fold their contributions
-//! in local-rank order, so a reduction's rounding does not either.
+//! A peer that is merely slow (a descheduled thread) is always waited
+//! for, and no outcome depends on how the host schedules threads.
+//! Collectives fold their contributions in local-rank order, so a
+//! reduction's rounding does not either, and a member that calls a
+//! different collective op than the others panics them all.
+//!
+//! # Findings
+//!
+//! The scheduler notes what it sees wrong in the traces it returns
+//! ([`RankTrace::findings`]): a deadline that expired or a receive that
+//! hangs (E0702), ranks parked at step 3 in a wait-for cycle (E0703), a
+//! collective that is stuck or mismatched (E0704), two messages queued
+//! on one (src, dst, tag) (E0705), and, when the world exits, every
+//! message still unreceived (E0701). [`crate::explore`] classifies them.
 
 use crate::fault::{msg_checksum, CommError, FaultAction, FaultPlan};
-use crate::protocol::{CollOp, RankTrace, TraceOp};
+use crate::protocol::{CollOp, ProtoCode, RankTrace, TraceOp};
 use crate::stats::TrafficStats;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -59,8 +66,9 @@ enum Wait {
     /// A message from world rank `src` with namespaced `tag`; `deadline`
     /// marks a [`Comm::recv_deadline`].
     Recv { src: usize, tag: u64, deadline: bool },
-    /// The other members of a collective.
-    Collective,
+    /// The other members of the collective on communicator `comm` (tag
+    /// namespace).
+    Collective { comm: u64 },
 }
 
 impl Wait {
@@ -70,7 +78,7 @@ impl Wait {
         match self {
             Wait::Recv { deadline: true, .. } => 2,
             Wait::Recv { deadline: false, .. } => 3,
-            Wait::Collective => 4,
+            Wait::Collective { .. } => 4,
         }
     }
 }
@@ -81,6 +89,27 @@ enum Wake {
     Reduced(Vec<f64>),
     /// The world went quiescent and the wait was given up.
     Expired,
+    /// A member called a different collective op; carries the panic
+    /// message every member of the collective ends with.
+    Mismatch(String),
+}
+
+/// A collective in progress on one communicator.
+struct Rendezvous {
+    /// The op the first member arrived with.
+    op: CollOp,
+    /// World ranks of the members, by local rank.
+    group: Vec<usize>,
+    /// Contributions, by local rank.
+    parts: Vec<Option<Vec<f64>>>,
+}
+
+impl Rendezvous {
+    /// World ranks of the members that have (or have not) arrived.
+    fn members(&self, arrived: bool) -> Vec<usize> {
+        let group = self.group.iter().zip(&self.parts);
+        group.filter(|(_, p)| p.is_some() == arrived).map(|(&w, _)| w).collect()
+    }
 }
 
 /// One rank's share of the world state.
@@ -109,9 +138,8 @@ struct Scheduler {
     /// Messages held back until the world is quiescent, with their
     /// destination, in send order.
     delayed: Vec<(usize, Message)>,
-    /// Contributions to each communicator's in-progress collective (by
-    /// tag namespace), indexed by local rank.
-    collectives: HashMap<u64, Vec<Option<Vec<f64>>>>,
+    /// Each communicator's collective in progress, by tag namespace.
+    collectives: HashMap<u64, Rendezvous>,
 }
 
 impl Scheduler {
@@ -143,6 +171,20 @@ impl Scheduler {
             self.ranks[dst].wait,
             Some(Wait::Recv { src, tag, .. }) if src == msg.src && tag == msg.tag
         );
+        let slot = &self.ranks[dst];
+        let queued = slot.inbox.iter().find(|m| {
+            m.src == msg.src
+                && m.tag == msg.tag
+                && m.seq != msg.seq
+                && !slot.delivered.contains(&(m.src, m.seq))
+        });
+        if let Some(q) = queued {
+            let message = format!(
+                "messages {} and {} to rank {dst} queued at once on tag {}",
+                q.seq, msg.seq, msg.tag
+            );
+            self.ranks[msg.src].trace.note(ProtoCode::TagCollision, msg.src, message, false);
+        }
         self.ranks[dst].inbox.push_back(msg);
         if wakes {
             self.unpark(dst);
@@ -174,7 +216,8 @@ impl Scheduler {
         None
     }
 
-    /// Apply the quiescence rule of the module doc.
+    /// Apply the quiescence rule of the module doc, noting a finding for
+    /// every wait it gives up.
     fn quiesce(&mut self) {
         for (dst, msg) in std::mem::take(&mut self.delayed) {
             self.post(dst, msg);
@@ -186,13 +229,126 @@ impl Scheduler {
         let Some(first) = self.ranks.iter().filter_map(parked_order).min() else {
             return;
         };
-        for r in 0..self.ranks.len() {
-            if parked_order(&self.ranks[r]) == Some(first) {
-                self.ranks[r].wake = Some(Wake::Expired);
-                self.unpark(r);
+        let expired: Vec<usize> = (0..self.ranks.len())
+            .filter(|&r| parked_order(&self.ranks[r]) == Some(first))
+            .collect();
+        // Step 3 gives up waits nothing can end: a wait-for cycle is named
+        // once, at its first rank, and every other wait on its own.
+        let cycle = if first > 2 { find_cycle(&self.waits_for()) } else { None };
+        if let Some(c) = &cycle {
+            let path: Vec<String> = c.iter().map(|r| format!("rank {r}")).collect();
+            let message = format!("rendezvous deadlock: {} -> {}", path.join(" -> "), path[0]);
+            self.ranks[c[0]].trace.note(ProtoCode::Deadlock, c[0], message, false);
+        }
+        for r in expired {
+            let wait = self.ranks[r].wait.expect("expired ranks are parked");
+            if !cycle.as_ref().is_some_and(|c| c.contains(&r)) {
+                let (code, message) = match wait {
+                    Wait::Recv { src, tag, deadline: true } => (
+                        ProtoCode::UnmatchedRecv,
+                        format!("deadline receive from rank {src} (tag {tag}) expired"),
+                    ),
+                    Wait::Recv { src, tag, deadline: false } => (
+                        ProtoCode::UnmatchedRecv,
+                        format!("blocking receive from rank {src} (tag {tag}) can never be matched"),
+                    ),
+                    Wait::Collective { comm } => (
+                        ProtoCode::CollectiveDivergence,
+                        format!("collective on communicator {comm:#x} can never complete"),
+                    ),
+                };
+                // Only a deadline expiry (step 2) is a fault's degraded mode.
+                self.ranks[r].trace.note(code, r, message, first == 2);
+            }
+            self.ranks[r].wake = Some(Wake::Expired);
+            self.unpark(r);
+        }
+    }
+
+    /// The wait-for graph of the parked ranks: a receive waits for its
+    /// source, a collective for every member that has not arrived.
+    fn waits_for(&self) -> Vec<Vec<usize>> {
+        self.ranks
+            .iter()
+            .map(|slot| match slot.wait {
+                Some(Wait::Recv { src, .. }) => vec![src],
+                Some(Wait::Collective { comm }) => {
+                    self.collectives.get(&comm).map_or(Vec::new(), |c| c.members(false))
+                }
+                None => Vec::new(),
+            })
+            .collect()
+    }
+
+    /// The world has exited: note every message still unreceived, sort
+    /// the findings and hand the traces out.
+    fn finish(&mut self) -> Vec<RankTrace> {
+        for dst in 0..self.ranks.len() {
+            let slot = &mut self.ranks[dst];
+            let unreceived: Vec<(usize, u64, u64)> = slot
+                .inbox
+                .iter()
+                .filter(|m| !slot.delivered.contains(&(m.src, m.seq)))
+                .map(|m| (m.src, m.tag, m.seq))
+                .collect();
+            for (src, tag, seq) in unreceived {
+                let message = format!("message {seq} to rank {dst} (tag {tag}) was never received");
+                self.ranks[src].trace.note(ProtoCode::UnmatchedSend, src, message, true);
+            }
+        }
+        self.ranks
+            .iter_mut()
+            .map(|r| {
+                let mut trace = std::mem::take(&mut r.trace);
+                trace.findings.sort();
+                trace
+            })
+            .collect()
+    }
+}
+
+/// First cycle of a tiny digraph, as the node sequence around the loop.
+fn find_cycle(adj: &[Vec<usize>]) -> Option<Vec<usize>> {
+    fn dfs(
+        u: usize,
+        adj: &[Vec<usize>],
+        color: &mut [u8],
+        parent: &mut [usize],
+    ) -> Option<(usize, usize)> {
+        color[u] = 1;
+        for &v in &adj[u] {
+            if color[v] == 1 {
+                return Some((v, u)); // back edge closes a cycle v..u
+            }
+            if color[v] == 0 {
+                parent[v] = u;
+                if let Some(c) = dfs(v, adj, color, parent) {
+                    return Some(c);
+                }
+            }
+        }
+        color[u] = 2;
+        None
+    }
+
+    let n = adj.len();
+    let mut color = vec![0u8; n]; // 0 = unvisited, 1 = on stack, 2 = done
+    let mut parent = vec![usize::MAX; n];
+    for s in 0..n {
+        if color[s] == 0 {
+            if let Some((start, end)) = dfs(s, adj, &mut color, &mut parent) {
+                let mut path = vec![end];
+                let mut cur = end;
+                while cur != start {
+                    cur = parent[cur];
+                    path.push(cur);
+                }
+                path.reverse();
+                return Some(path);
             }
         }
     }
+    None
 }
 
 /// What the ranks of one world share.
@@ -255,11 +411,11 @@ impl World {
     }
 
     /// Run `f` on `n` ranks with `faults` (if any) injected into the
-    /// point-to-point layer, and return each rank's recorded message
-    /// trace too, for conformance checking against a verified
-    /// [`crate::protocol::ProtocolSpec`]. The plan is shared: its edge
-    /// counters and one-shot faults persist across successive worlds run
-    /// with it.
+    /// point-to-point layer, and return each rank's trace too: the ops it
+    /// attempted and the scheduler's findings about the round (the exit
+    /// check the fault-tolerant drivers run on every live round). The
+    /// plan is shared: its edge counters and one-shot faults persist
+    /// across successive worlds run with it.
     pub fn run_traced<T: Send>(
         n: usize,
         faults: Option<Arc<FaultPlan>>,
@@ -281,12 +437,14 @@ impl World {
             sched: Mutex::new(Scheduler::new(n)),
             cv: Condvar::new(),
         });
-        let results = std::thread::scope(|s| {
+        let exploring = crate::explore::exploring();
+        let joined: Vec<std::thread::Result<T>> = std::thread::scope(|s| {
             let f = &f;
             let handles: Vec<_> = (0..n)
                 .map(|rank| {
                     let shared = shared.clone();
                     s.spawn(move || {
+                        crate::explore::quiet_panics(exploring);
                         let _exit = ExitGuard(shared.clone());
                         f(Comm {
                             rank,
@@ -298,17 +456,18 @@ impl World {
                     })
                 })
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("rank panicked"))
-                .collect()
+            handles.into_iter().map(|h| h.join()).collect()
         });
-        let traces = shared
-            .sched
-            .lock()
-            .ranks
-            .iter_mut()
-            .map(|r| std::mem::take(&mut r.trace))
+        let traces = shared.sched.lock().finish();
+        crate::explore::observe(&traces);
+        let results = joined
+            .into_iter()
+            .enumerate()
+            .map(|(rank, r)| {
+                r.unwrap_or_else(|p| {
+                    panic!("rank panicked (rank {rank}): {}", crate::explore::panic_text(&*p))
+                })
+            })
             .collect();
         (results, shared.stats.snapshot(), traces)
     }
@@ -399,8 +558,7 @@ impl Comm {
         self.recv_inner(src, tag, false)
     }
 
-    /// Deadline receive, the run-time twin of
-    /// [`crate::protocol::recv_deadline`]: reports [`CommError::Timeout`]
+    /// Deadline receive: reports [`CommError::Timeout`]
     /// once the world is quiescent without a matching message (step 2 of
     /// the quiescence rule in the module doc) — the peer is dead, or the
     /// message was dropped. Injected duplicates are suppressed by sequence
@@ -483,7 +641,8 @@ impl Comm {
     /// Contribute `xs` to this communicator's collective `op` and wait
     /// for every member's. The last member to arrive computes `finish`
     /// over the contributions in local-rank order and hands every member
-    /// the result.
+    /// the result. A member arriving with another op than the first one
+    /// did panics, and so does every member already waiting.
     fn rendezvous(
         &self,
         op: CollOp,
@@ -494,27 +653,54 @@ impl Comm {
         if self.rank == 0 {
             self.shared.stats.record_collective_op();
         }
-        let me = self.group[self.rank];
+        let (me, ns) = (self.group[self.rank], self.tag_ns);
         let mut s = self.shared.sched.lock();
-        let event = TraceOp::Collective { op, comm: self.tag_ns };
-        s.ranks[me].trace.record(event, 0);
-        let slots = s.collectives.entry(self.tag_ns).or_insert_with(|| vec![None; self.size]);
-        slots[self.rank] = Some(xs.to_vec());
-        if slots.iter().any(Option::is_none) {
-            self.shared.park(&mut s, me, Wait::Collective);
-            let Some(Wake::Reduced(out)) = s.ranks[me].wake.take() else {
-                s.collectives.remove(&self.tag_ns);
-                drop(s);
-                panic!(
-                    "collective on communicator {:#x} can never complete: \
-                     a member has exited or waits elsewhere",
-                    self.tag_ns
-                );
-            };
-            return out;
+        s.ranks[me].trace.record(TraceOp::Collective { op, comm: ns }, 0);
+        let c = s.collectives.entry(ns).or_insert_with(|| Rendezvous {
+            op,
+            group: self.group.clone(),
+            parts: vec![None; self.size],
+        });
+        if c.op != op {
+            let c = s.collectives.remove(&ns).expect("entered above");
+            let mut ops = [c.op.to_string(), op.to_string()];
+            ops.sort();
+            let text = format!(
+                "collective ops differ on communicator {ns:#x}: {} and {}",
+                ops[0], ops[1]
+            );
+            let waiting = c.members(true);
+            let first = waiting.iter().copied().chain([me]).min().expect("me");
+            s.ranks[first].trace.note(ProtoCode::CollectiveDivergence, first, text.clone(), false);
+            for w in waiting {
+                s.ranks[w].wake = Some(Wake::Mismatch(text.clone()));
+                s.unpark(w);
+            }
+            self.shared.cv.notify_all();
+            drop(s);
+            panic!("{text}");
         }
-        let slots = s.collectives.remove(&self.tag_ns).expect("inserted above");
-        let parts: Vec<Vec<f64>> = slots.into_iter().map(|p| p.expect("all arrived")).collect();
+        c.parts[self.rank] = Some(xs.to_vec());
+        if c.parts.iter().any(Option::is_none) {
+            self.shared.park(&mut s, me, Wait::Collective { comm: ns });
+            match s.ranks[me].wake.take() {
+                Some(Wake::Reduced(out)) => return out,
+                Some(Wake::Mismatch(text)) => {
+                    drop(s);
+                    panic!("{text}");
+                }
+                _ => {
+                    s.collectives.remove(&ns);
+                    drop(s);
+                    panic!(
+                        "collective on communicator {ns:#x} can never complete: \
+                         a member has exited or waits elsewhere"
+                    );
+                }
+            }
+        }
+        let c = s.collectives.remove(&ns).expect("entered above");
+        let parts: Vec<Vec<f64>> = c.parts.into_iter().map(|p| p.expect("all arrived")).collect();
         let out = finish(&parts);
         for (local, &world) in self.group.iter().enumerate() {
             if local != self.rank {
@@ -678,6 +864,26 @@ mod tests {
     }
 
     #[test]
+    fn a_collective_whose_members_call_different_ops_panics_them_all() {
+        // Before the op was recorded per communicator, the last member to
+        // arrive decided: [3.0, 3.0] or [2.0, 2.0] by thread timing.
+        for _ in 0..50 {
+            let results = World::run(2, |comm| {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    if comm.rank() == 0 {
+                        comm.allreduce_max(1.0)
+                    } else {
+                        comm.allreduce_sum(2.0)
+                    }
+                }))
+                .map_err(|p| crate::explore::panic_text(&*p))
+            });
+            let want = "collective ops differ on communicator 0x0: allreduce-max and allreduce-sum";
+            assert_eq!(results, vec![Err(want.to_string()), Err(want.to_string())]);
+        }
+    }
+
+    #[test]
     fn traffic_is_metered() {
         let (_, snap) = World::run_with_stats(3, |comm| {
             if comm.rank() == 0 {
@@ -746,7 +952,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "rank panicked")]
+    #[should_panic(expected = "rank panicked (rank 1): boom")]
     fn rank_panics_propagate() {
         World::run(2, |comm| {
             if comm.rank() == 1 {

@@ -80,7 +80,7 @@ impl std::fmt::Display for CommError {
             CommError::ProtocolHang { src, tag } => write!(
                 f,
                 "protocol hang: blocking recv from rank {src} tag {tag} unmatched in a \
-                 quiescent world (no send will ever match; check the protocol spec)"
+                 quiescent world (no send will ever match)"
             ),
         }
     }

@@ -59,9 +59,9 @@ pub fn heartbeat_round(
     heartbeat_round_traced(n_ranks, window, cfg, plan, down, payloads).0
 }
 
-/// [`heartbeat_round`] plus each rank's recorded message trace, so a
-/// supervisor can check the round's conformance against the verified
-/// heartbeat [`crate::protocol::ProtocolSpec`].
+/// [`heartbeat_round`] plus each rank's trace, so a supervisor can run the
+/// exit check on the round ([`crate::World::run_traced`]) and
+/// [`crate::explore`] can explore it.
 pub fn heartbeat_round_traced(
     n_ranks: usize,
     window: u64,

@@ -15,22 +15,19 @@
 //! would on a cluster.
 
 pub mod comm;
+pub mod explore;
 pub mod fault;
 pub mod halo;
 pub mod heartbeat;
 pub mod protocol;
 pub mod rank_exchange;
 pub mod stats;
-pub mod verify;
 
 pub use comm::{Comm, World};
+pub use explore::{broken_fixtures, explore, BrokenRound, ExploreReport, FaultRun};
 pub use fault::{CommError, FaultAction, FaultPlan, FaultReport, PlannedFault, Splitmix64};
 pub use halo::HaloExchanger;
 pub use heartbeat::{heartbeat_round, heartbeat_round_traced, BeatConfig, BeatStatus};
-pub use protocol::{
-    conform, halo_spec, ConformSummary, ProtocolSpec, ProtocolViolation, RankTrace, TraceEvent,
-    TraceOp,
-};
+pub use protocol::{CollOp, ProtoCode, ProtoDiag, RankTrace, TraceEvent, TraceOp};
 pub use rank_exchange::RankExchange;
 pub use stats::{TrafficSnapshot, TrafficStats};
-pub use verify::{broken_fixtures, verify_spec, BrokenSpec, ProtoCode, ProtoDiag, VerifyReport};

@@ -147,17 +147,16 @@ use esm_core::{HealthConfig, SupervisorConfig};
 use mpisim::FaultPlan;
 use std::sync::Arc;
 
-/// Widths the supervised sweep runs at. Smaller than [`WIDTHS`] because
-/// every run pays real heartbeat deadlines in wall-clock time.
+/// Widths the supervised sweep runs at. Smaller than [`WIDTHS`] only to
+/// keep the suite's run time down: each supervised run also writes
+/// checkpoints, respawns the killed group and replays its lost windows.
 const SUPERVISED_WIDTHS: [usize; 2] = [1, 4];
 
 fn supervised_fingerprint(threads: usize) -> RunFingerprint {
     set_width(threads);
     let dir = scratch(&format!("sup_{threads}"));
     let scfg = SupervisorConfig {
-        health: HealthConfig {
-            suspicion_threshold: 2,
-        },
+        health: HealthConfig::default(),
         ..SupervisorConfig::default()
     };
     // Ocean group killed at window 3: the fast side degrades one window,

@@ -1,228 +1,163 @@
-//! Property tests for the protocol verifier (DESIGN.md §15):
+//! Property tests for protocol exploration (DESIGN.md §15). Everything
+//! here runs real closures on the real world scheduler; nothing is a
+//! model of one.
 //!
-//! 1. **Mutation soundness** — any single-op mutation of a verified
-//!    driver spec (drop a send, retarget a tag, duplicate a send,
-//!    reorder or remove a collective) is rejected by [`verify_spec`]
-//!    with the expected E07xx code. The verifier has no blind spot a
-//!    one-op protocol bug can hide in.
-//! 2. **Conformance closure** — the unmutated driver specs verify
-//!    clean AND the live traces recorded by the running drivers
-//!    conform to them at every pool width in [`THREAD_COUNTS`], so
-//!    the static spec and the dynamic implementation are provably the
-//!    same protocol.
+//! 1. **Mutation soundness** — a one-op bug in a round is reported with
+//!    its E07xx code: dropping any send of a driver round (run as if the
+//!    drop were part of the program) is E0702; retargeting, duplicating,
+//!    reordering or removing an op of a small exchange or collective
+//!    program is E0701, E0705 or E0704.
+//! 2. **Clean closure** — the unmutated driver rounds explore clean, and
+//!    the live drivers' exit check and the exploration itself give the
+//!    same answer at every pool width in [`THREAD_COUNTS`].
 
-use esm_core::{all_specs, heartbeat_spec, CoupledEsm, EsmConfig, ResilienceConfig};
-use mpisim::protocol::{coll, CollOp, Node, Op, Tag};
-use mpisim::{conform, heartbeat_round_traced, verify_spec, BeatConfig, ProtoCode, ProtocolSpec};
+use esm_core::{explore_rounds, CoupledEsm, EsmConfig, ResilienceConfig};
+use mpisim::{explore, heartbeat_round_traced, BeatConfig, Comm, ProtoCode, World};
 use proptest::prelude::*;
 use std::time::Duration;
 
-/// Pool widths the live-trace conformance check is repeated at.
+/// Pool widths the live exit check and the exploration are repeated at.
 const THREAD_COUNTS: [usize; 2] = [1, 4];
 
-/// A tag no driver spec uses — retargeting a send here orphans both ends.
-const ALIEN_TAG: Tag = Tag::Const(999_983);
+/// The tag the exchange program uses, and one nothing receives on.
+const TAG: u64 = 10;
+const ALIEN_TAG: u64 = 999_983;
 
-// ---------------------------------------------------------------------
-// Spec mutators: locate the k-th send (in program order, descending into
-// loops and every branch arm) and drop / retarget / duplicate it.
-// ---------------------------------------------------------------------
+/// A one-op edit of the exchange program.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Edit {
+    None,
+    Retarget(usize),
+    Duplicate(usize),
+}
 
-fn for_each_vec(nodes: &mut Vec<Node>, f: &mut impl FnMut(&mut Vec<Node>) -> bool) -> bool {
-    if f(nodes) {
-        return true;
+/// Every rank sends to every peer on [`TAG`], waits at a barrier, then
+/// receives from every peer. The barrier makes "all sends are queued
+/// before any receive" part of the program, so a duplicated send is
+/// queued beside its original on every run. `edit` changes the `k`-th
+/// send, counted rank-major.
+fn exchange(c: &Comm, edit: Edit) {
+    let (me, n) = (c.rank(), c.size());
+    let peers = (0..n).filter(|&p| p != me);
+    for (i, peer) in peers.clone().enumerate() {
+        let k = me * (n - 1) + i;
+        let tag = if edit == Edit::Retarget(k) { ALIEN_TAG } else { TAG };
+        c.send(peer, tag, &[me as f64]);
+        if edit == Edit::Duplicate(k) {
+            c.send(peer, tag, &[me as f64]);
+        }
     }
-    for node in nodes.iter_mut() {
-        let hit = match node {
-            Node::Op(_) => false,
-            Node::Loop { body, .. } => for_each_vec(body, f),
-            Node::Branch { arms, .. } => {
-                arms.iter_mut().any(|a| for_each_vec(&mut a.body, f))
+    c.barrier();
+    for peer in peers {
+        c.recv(peer, TAG);
+    }
+}
+
+/// The codes the fault-free run of `body` on `n` ranks reports.
+fn nominal_codes(n: usize, body: impl Fn(&Comm) + Sync) -> Vec<ProtoCode> {
+    let report = explore("mutant", n, 1, |plan| World::run_traced(n, plan.cloned(), |c| body(&c)));
+    report.nominal.codes().into_iter().collect()
+}
+
+/// Collectives every rank calls in the same order, unless mutated.
+fn ladder(c: &Comm, ops: &[usize]) {
+    for &op in ops {
+        let _ = match op {
+            0 => {
+                c.barrier();
+                0.0
             }
+            1 => c.allreduce_sum(1.0),
+            2 => c.allreduce_max(1.0),
+            _ => c.allreduce_min(1.0),
         };
-        if hit {
-            return true;
+    }
+}
+
+/// Dropping any send of any driver round, classified as if the drop were
+/// part of the program, leaves a receive no send satisfies: E0702 (the
+/// halo exchange's blocking receives could also meet in a cycle, E0703).
+#[test]
+fn dropping_any_send_is_rejected_with_e0702() {
+    let mut checked = 0;
+    for r in explore_rounds() {
+        let report = &r.report;
+        for run in report.faults.iter().filter(|run| run.fault.starts_with("drop send")) {
+            let codes = run.codes();
+            let hit = codes.contains(&ProtoCode::UnmatchedRecv)
+                || (report.name == "coupler-exchange" && codes.contains(&ProtoCode::Deadlock));
+            assert!(hit, "{} on {} ranks, {}: {:?}", report.name, report.n, run.fault, codes);
+            checked += 1;
         }
     }
-    false
-}
-
-/// Apply `edit` to the `k`-th send of the spec (counting across ranks);
-/// `edit` receives the containing node list and the send's index in it.
-/// Returns false when the spec has fewer than `k + 1` sends.
-fn edit_kth_send(
-    spec: &mut ProtocolSpec,
-    k: usize,
-    edit: &mut impl FnMut(&mut Vec<Node>, usize),
-) -> bool {
-    let mut remaining = k;
-    for prog in spec.ranks.iter_mut() {
-        let hit = for_each_vec(prog, &mut |nodes| {
-            for i in 0..nodes.len() {
-                if matches!(nodes[i], Node::Op(Op::Send { .. })) {
-                    if remaining == 0 {
-                        edit(nodes, i);
-                        return true;
-                    }
-                    remaining -= 1;
-                }
-            }
-            false
-        });
-        if hit {
-            return true;
-        }
-    }
-    false
-}
-
-fn count_sends(spec: &ProtocolSpec) -> usize {
-    fn walk(nodes: &[Node]) -> usize {
-        nodes
-            .iter()
-            .map(|n| match n {
-                Node::Op(Op::Send { .. }) => 1,
-                Node::Op(_) => 0,
-                Node::Loop { body, .. } => walk(body),
-                Node::Branch { arms, .. } => arms.iter().map(|a| walk(&a.body)).sum(),
-            })
-            .sum()
-    }
-    spec.ranks.iter().map(|p| walk(p)).sum()
-}
-
-/// One verified driver spec per `which`, spanning both protocol shapes
-/// and two world sizes each.
-fn pick_spec(which: usize) -> ProtocolSpec {
-    match which {
-        0 => esm_core::guard_spec(3),
-        1 => esm_core::guard_spec(5),
-        2 => heartbeat_spec(3),
-        _ => heartbeat_spec(4),
-    }
-}
-
-fn has_code(report: &mpisim::VerifyReport, code: ProtoCode) -> bool {
-    report.diags.iter().any(|d| d.code == code)
-}
-
-/// All-ranks-identical collective ladder on the world communicator;
-/// verifies clean until one rank's order is perturbed.
-fn coll_ladder(n_ranks: usize) -> ProtocolSpec {
-    let prog = vec![
-        coll(CollOp::Barrier, 0),
-        coll(CollOp::Sum, 0),
-        coll(CollOp::Max, 0),
-        coll(CollOp::Min, 0),
-    ];
-    ProtocolSpec::new("coll-ladder", vec![prog; n_ranks])
+    assert!(checked > 0);
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Dropping any send orphans the deadline receive that awaited it:
-    /// the all-nominal scenario must report E0702.
-    #[test]
-    fn dropping_any_send_is_rejected_with_e0702(which in 0usize..4, raw in 0usize..4096) {
-        let mut spec = pick_spec(which);
-        let total = count_sends(&spec);
-        prop_assert!(total > 0, "{} has no sends to drop", spec.name);
-        let k = raw % total;
-        prop_assert!(edit_kth_send(&mut spec, k, &mut |nodes, i| {
-            nodes.remove(i);
-        }));
-        let report = verify_spec(&spec);
-        prop_assert!(!report.is_clean(), "{} minus send {k} verified clean", spec.name);
-        prop_assert!(
-            has_code(&report, ProtoCode::UnmatchedRecv),
-            "{} minus send {k}: expected E0702, got {:?}", spec.name, report.diags
-        );
-    }
+    #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Retargeting any send's tag orphans both ends of the channel:
-    /// E0701 for the now-unreceivable send, E0702 for the starved recv.
+    /// E0701 for the message nothing takes, E0702 for the starved
+    /// receive.
     #[test]
-    fn retargeting_any_send_tag_is_rejected_with_e0701(which in 0usize..4, raw in 0usize..4096) {
-        let mut spec = pick_spec(which);
-        let total = count_sends(&spec);
-        let k = raw % total;
-        prop_assert!(edit_kth_send(&mut spec, k, &mut |nodes, i| {
-            if let Node::Op(Op::Send { tag, .. }) = &mut nodes[i] {
-                *tag = ALIEN_TAG;
-            }
-        }));
-        let report = verify_spec(&spec);
-        prop_assert!(
-            has_code(&report, ProtoCode::UnmatchedSend),
-            "{} with send {k} retargeted: expected E0701, got {:?}", spec.name, report.diags
-        );
-        prop_assert!(
-            has_code(&report, ProtoCode::UnmatchedRecv),
-            "{} with send {k} retargeted: expected E0702, got {:?}", spec.name, report.diags
-        );
+    fn retargeting_any_send_tag_is_rejected_with_e0701(n in 2usize..5, raw in 0usize..64) {
+        let k = raw % (n * (n - 1));
+        let codes = nominal_codes(n, |c| exchange(c, Edit::Retarget(k)));
+        prop_assert!(codes.contains(&ProtoCode::UnmatchedSend), "send {k}: {codes:?}");
+        prop_assert!(codes.contains(&ProtoCode::UnmatchedRecv), "send {k}: {codes:?}");
     }
 
-    /// Duplicating any send puts two messages in flight on one
-    /// (src, dst, tag) edge — E0705, the ambiguity the wire tags exist
-    /// to prevent.
+    /// Duplicating any send queues two messages on one (src, dst, tag):
+    /// E0705.
     #[test]
-    fn duplicating_any_send_is_rejected_with_e0705(which in 0usize..4, raw in 0usize..4096) {
-        let mut spec = pick_spec(which);
-        let total = count_sends(&spec);
-        let k = raw % total;
-        prop_assert!(edit_kth_send(&mut spec, k, &mut |nodes, i| {
-            let dup = nodes[i].clone();
-            nodes.insert(i + 1, dup);
-        }));
-        let report = verify_spec(&spec);
-        prop_assert!(
-            has_code(&report, ProtoCode::TagCollision),
-            "{} with send {k} duplicated: expected E0705, got {:?}", spec.name, report.diags
-        );
+    fn duplicating_any_send_is_rejected_with_e0705(n in 2usize..5, raw in 0usize..64) {
+        let k = raw % (n * (n - 1));
+        let codes = nominal_codes(n, |c| exchange(c, Edit::Duplicate(k)));
+        prop_assert!(codes.contains(&ProtoCode::TagCollision), "send {k}: {codes:?}");
     }
 
-    /// Swapping two adjacent collectives in one rank diverges that
-    /// rank's collective order from the rest of the communicator: E0704.
+    /// Swapping two adjacent collectives in one rank makes the members
+    /// of one collective call different ops: E0704.
     #[test]
     fn reordering_a_collective_is_rejected_with_e0704(
         n in 2usize..5,
         rank_raw in 0usize..8,
         pos in 0usize..3,
     ) {
-        let mut spec = coll_ladder(n);
-        prop_assert!(verify_spec(&spec).is_clean(), "unmutated ladder must be clean");
         let rank = rank_raw % n;
-        spec.ranks[rank].swap(pos, pos + 1);
-        let report = verify_spec(&spec);
-        prop_assert!(
-            has_code(&report, ProtoCode::CollectiveDivergence),
-            "swap at rank {rank} pos {pos}: expected E0704, got {:?}", report.diags
-        );
+        let codes = nominal_codes(n, |c| {
+            let mut ops = vec![0, 1, 2, 3];
+            if c.rank() == rank {
+                ops.swap(pos, pos + 1);
+            }
+            ladder(c, &ops);
+        });
+        prop_assert_eq!(codes, vec![ProtoCode::CollectiveDivergence], "swap at rank {} pos {}", rank, pos);
     }
 
-    /// Removing a collective from one rank also diverges the order
-    /// (the sequences now differ in length): E0704.
+    /// Removing a collective from one rank also leaves the members of
+    /// one collective out of step — mismatched, or stuck: E0704.
     #[test]
     fn removing_a_collective_is_rejected_with_e0704(
         n in 2usize..5,
         rank_raw in 0usize..8,
         pos in 0usize..4,
     ) {
-        let mut spec = coll_ladder(n);
         let rank = rank_raw % n;
-        spec.ranks[rank].remove(pos);
-        let report = verify_spec(&spec);
-        prop_assert!(
-            has_code(&report, ProtoCode::CollectiveDivergence),
-            "removal at rank {rank} pos {pos}: expected E0704, got {:?}", report.diags
-        );
+        let codes = nominal_codes(n, |c| {
+            let mut ops = vec![0, 1, 2, 3];
+            if c.rank() == rank {
+                ops.remove(pos);
+            }
+            ladder(c, &ops);
+        });
+        prop_assert_eq!(codes, vec![ProtoCode::CollectiveDivergence], "removal at rank {} pos {}", rank, pos);
     }
 }
 
 // ---------------------------------------------------------------------
-// Conformance closure: unmutated specs are clean and the live drivers
-// produce conforming traces at every pool width.
+// Clean closure: the unmutated rounds explore clean, and the answer does
+// not depend on the pool width.
 // ---------------------------------------------------------------------
 
 fn set_width(n: usize) {
@@ -233,12 +168,19 @@ fn set_width(n: usize) {
 }
 
 #[test]
-fn unmutated_driver_specs_verify_clean() {
-    for spec in all_specs() {
-        let report = verify_spec(&spec);
-        assert_eq!(report.errors(), 0, "{}: {:?}", spec.name, report.diags);
-        assert_eq!(report.warnings(), 0, "{}: {:?}", spec.name, report.diags);
-        assert!(report.ops > 0 && report.scenarios > 0, "{} is non-trivial", spec.name);
+fn unmutated_driver_rounds_explore_clean() {
+    for r in explore_rounds() {
+        let report = &r.report;
+        let label = format!("{} on {} ranks", report.name, report.n);
+        assert_eq!(report.nominal_errors(), 0, "{label}: {:#?}", report.nominal);
+        assert!(!report.faults.is_empty(), "{label}");
+        if r.gate_faults {
+            assert_eq!(report.fault_errors(), 0, "{label}: {:#?}", report.faults);
+        }
+    }
+    for n in 2..5 {
+        assert_eq!(nominal_codes(n, |c| exchange(c, Edit::None)), vec![], "exchange on {n}");
+        assert_eq!(nominal_codes(n, |c| ladder(c, &[0, 1, 2, 3])), vec![], "ladder on {n}");
     }
 }
 
@@ -263,11 +205,11 @@ fn deadline_receive_waits_for_a_slow_peer() {
 /// process-global pool width, so no width lock is needed here.
 #[test]
 fn live_driver_traces_conform_at_both_widths() {
+    let mut explored = Vec::new();
     for &threads in &THREAD_COUNTS {
         set_width(threads);
 
-        // Heartbeat rounds, traced directly and replayed against the spec.
-        let hb = heartbeat_spec(3);
+        // Heartbeat rounds, traced directly: the exit check finds nothing.
         let payloads = vec![vec![0.0; 4], vec![1.0; 4], vec![2.0; 4]];
         for window in 0..3u64 {
             let (statuses, traces) = heartbeat_round_traced(
@@ -279,15 +221,15 @@ fn live_driver_traces_conform_at_both_widths() {
                 &payloads,
             );
             assert_eq!(statuses.len(), 3);
-            let summary = conform(&hb, window, &traces)
-                .unwrap_or_else(|v| panic!("width {threads}: {v}"));
+            assert!(traces.iter().all(|t| t.findings.is_empty()), "width {threads}: {traces:?}");
             // Two components each send one beat the monitor receives.
-            assert_eq!(summary.ops_matched, 4, "width {threads}");
+            let events: usize = traces.iter().map(|t| t.events.len()).sum();
+            assert_eq!(events, 4, "width {threads}");
         }
 
         // Guard rounds, checked by the resilient driver itself.
         let dir = std::env::temp_dir()
-            .join(format!("esm_proto_conform_t{threads}_{}", std::process::id()));
+            .join(format!("esm_proto_exit_t{threads}_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let rcfg = ResilienceConfig {
             checkpoint_every: 2,
@@ -300,10 +242,15 @@ fn live_driver_traces_conform_at_both_widths() {
         assert_eq!(
             report.protocol_violations,
             Vec::<String>::new(),
-            "width {threads}: fault-free guard traces must conform"
+            "width {threads}: fault-free guard rounds must pass the exit check"
         );
         assert!(report.protocol_rounds >= 3, "width {threads}");
         assert!(report.protocol_ops_matched > 0, "width {threads}");
         std::fs::remove_dir_all(&dir).ok();
+
+        // Exploration: string-identical run to run and width to width.
+        explored.push(format!("{:?}", explore_rounds()));
+        explored.push(format!("{:?}", explore_rounds()));
     }
+    assert!(explored.windows(2).all(|w| w[0] == w[1]), "exploration depends on the run or the width");
 }
