@@ -118,13 +118,6 @@ impl<G: CGrid> Atmosphere<G> {
     pub fn max_wind<X: Exchange>(&self, x: &X) -> f64 {
         x.max(self.state.vn.as_slice().iter().fold(0.0f64, |a, v| a.max(v.abs())))
     }
-
-    /// Column-integrated water vapor (kg/m^2-equivalent) per cell.
-    pub fn precipitable_water(&self, c: usize) -> f64 {
-        (0..self.params.nlev)
-            .map(|k| self.state.delta.at(c, k) * self.state.qv.at(c, k))
-            .sum()
-    }
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 
 use crate::budgets::{CarbonBudget, WaterBudget, KG_CO2_PER_KG_C, KG_C_PER_KMOL};
 use crate::config::EsmConfig;
-use crate::replay::{ReplayState, WindowArena, WindowPlan, WindowShape};
+use crate::replay::{ReplayState, WindowArena};
 use crate::solar;
 use crate::timers::Timers;
 use atmo::{AtmParams, Atmosphere};
@@ -62,9 +62,8 @@ pub struct CoupledEsm {
     land_pos: Vec<i64>,
     pub(crate) windows_run: u64,
     /// Window record/replay state (see [`crate::replay`]): records the
-    /// first coupled window into a frozen arena, replays later windows
-    /// with zero fresh allocation, and invalidates on shape changes or
-    /// restores.
+    /// first coupled window into an arena, replays later windows with
+    /// zero fresh allocation, and drops the arena on restores.
     pub replay: ReplayState,
 }
 
@@ -352,19 +351,10 @@ struct FastSide<'a> {
 
 impl FastSide<'_> {
     /// One record/replay-wrapped fast window (see [`crate::replay`]) —
-    /// the single place a window is planned, given its arena, timed, and
-    /// committed, under every driver.
+    /// the single place a window takes its arena, is timed, and hands
+    /// the arena back, under every driver.
     fn step(&mut self, window: u64, incoming: &FluxSet) -> Result<FluxSet, FluxError> {
-        let shape = WindowShape::capture(self.grid, self.cfg, self.land, incoming);
-        let plan = self.replay.begin_window(&shape);
-        let mut fresh = match plan {
-            WindowPlan::Replay => None,
-            _ => Some(WindowArena::new(self.grid.n_cells, self.grid.n_edges)),
-        };
-        let arena: &mut WindowArena = match fresh.as_mut() {
-            Some(a) => a,
-            None => self.replay.arena_mut().expect("replay plan implies a graph"),
-        };
+        let mut arena = self.replay.take(self.grid.n_cells, self.grid.n_edges);
         let out = Timers::time_with_busy(self.wall_s, self.busy_s, || {
             fast_window(
                 self.atm,
@@ -375,16 +365,11 @@ impl FastSide<'_> {
                 window,
                 incoming,
                 self.ocean_water_received_kg,
-                arena,
+                &mut arena,
             )
-        })?;
-        if plan == WindowPlan::Record {
-            // Freeze the recording pass: signature captured after the
-            // window so the land schedule is populated.
-            let shape = WindowShape::capture(self.grid, self.cfg, self.land, incoming);
-            self.replay.commit(shape, fresh.take().expect("record plan holds it"));
-        }
-        Ok(out)
+        });
+        self.replay.put_back(arena);
+        out
     }
 }
 
@@ -776,6 +761,25 @@ mod tests {
         assert!(matches!(err, FluxError::MissingField { .. }), "{err}");
         // The failed window did not count.
         assert_eq!(esm.windows_run(), 0);
+    }
+
+    /// A window that fails hands its arena back like a good one: the
+    /// next good window replays through it, with no re-record and no
+    /// fresh allocation.
+    #[test]
+    fn a_failed_fast_window_leaves_the_arena_live() {
+        let mut esm = tiny();
+        // Window 0 records; window 1 primes the pools.
+        esm.run_windows(2, false).unwrap();
+        let allocations = esm.replay.arena_allocations();
+        let err = esm.run_fast_window(2, &FluxSet::new()).unwrap_err();
+        assert!(matches!(err, FluxError::MissingField { .. }), "{err}");
+        assert!(esm.replay.has_graph(), "the failed window put its arena back");
+        esm.run_windows(1, false).unwrap();
+        let stats = esm.replay.stats;
+        assert_eq!((stats.recorded_windows, stats.rerecords, stats.invalidations), (1, 0, 0));
+        assert_eq!(stats.replayed_windows, 3, "window 1, the failed window, window 2");
+        assert_eq!(esm.replay.arena_allocations(), allocations);
     }
 
     #[test]

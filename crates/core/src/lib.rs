@@ -52,7 +52,7 @@ pub use config::EsmConfig;
 pub use coupler::{FluxError, QuarantineEvent, RepairPolicy};
 pub use esm::CoupledEsm;
 pub use health::{FailureDetector, HealthConfig, HealthError, HealthEvent, HealthEventKind};
-pub use replay::{ReplayConfig, ReplayState, WindowReplayStats, WindowShape};
+pub use replay::{ReplayConfig, ReplayState, WindowReplayStats};
 pub use resilience::{EsmError, ResilienceConfig, ResilienceReport};
 pub use rounds::{explore_rounds, ExploredRound};
 pub use sdc::{FlipTarget, QuiescenceReference, SdcInjection, SdcMode, StateFaultPlan};

@@ -2,26 +2,23 @@
 //! the paper's CUDA-graph optimization (§5.1, `results/cudagraphs.json`).
 //!
 //! One coupled window makes the same dispatch and allocation decisions
-//! every time: the land model launches the same kernel sequence (already
-//! frozen by [`land::LaunchRecorder`] in `Graph` mode), the coupler
-//! exchanges the same flux bundle, and the fast window fills the same
-//! accumulator and output buffers. [`ReplayState`] exploits that:
-//! the first window of a run is the **recording pass** — it executes
-//! eagerly while a [`WindowArena`] sizes every window-internal buffer —
-//! and later windows **replay** against the frozen arena: accumulators
-//! are reset in place and output flux buffers are drawn from a pool
-//! recycled from consumed bundles, so the steady state makes zero fresh
-//! allocations per window.
+//! every time: the land model launches the same kernel sequence (frozen
+//! by [`land::LaunchRecorder`] in `Graph` mode, which panics on a
+//! divergent schedule), the coupler exchanges the same flux bundle, and
+//! the fast window fills the same accumulator and output buffers.
+//! [`ReplayState`] caches the one [`WindowArena`] that holds them: a
+//! window that finds no live arena is a **recording pass** — it runs on
+//! a fresh arena — and a window that finds one **replays** against it:
+//! accumulators are reset in place and output flux buffers are drawn
+//! from a pool recycled from consumed bundles, so the steady state makes
+//! zero fresh allocations per window. The arena is put back after every
+//! window, also a failed one.
 //!
-//! Replay is valid only while the [`WindowShape`] holds: grid extents,
-//! the coupling schedule, the incoming flux bundle's layout, and the land
-//! model's frozen kernel schedule (the certification analog at this
-//! level). A pre-window capture that differs from the recorded signature
-//! **invalidates** the graph and re-records instead of replaying stale
-//! buffer splits — never a wrong answer, counted on
-//! [`WindowReplayStats`]. Restores (rollback-replay, rank respawn)
-//! conservatively invalidate too: the frozen schedule's validity is
-//! re-established by the re-recording pass after recovery.
+//! Every arena buffer is sized by the grid's cell or edge count, which
+//! no run changes, so there is nothing to re-validate before a replay.
+//! Restores (rollback-replay, rank respawn) drop the arena as an
+//! invalidation, counted on [`WindowReplayStats`], and the next window
+//! re-records.
 //!
 //! Bitwise equivalence with the non-recorded path is by construction —
 //! `fast_window` has a single code path that takes the arena either
@@ -30,10 +27,6 @@
 //! `tests/graph_replay.rs`.
 
 use coupler::exchange::FluxSet;
-use icongrid::Grid;
-use land::LandModel;
-
-use crate::config::EsmConfig;
 
 /// Replay policy for [`crate::CoupledEsm::run_windows`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,42 +40,6 @@ pub struct ReplayConfig {
 impl Default for ReplayConfig {
     fn default() -> ReplayConfig {
         ReplayConfig { enabled: true }
-    }
-}
-
-/// Everything a recorded window schedule depends on. Compared before
-/// every replay; any difference is an invalidation, never a stale replay.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WindowShape {
-    pub n_cells: usize,
-    pub n_edges: usize,
-    /// Atmosphere steps per coupling window (the schedule).
-    pub atm_steps: usize,
-    /// Name and length of every field in the incoming (ocean-to-fast)
-    /// flux bundle.
-    pub fluxes_to_fast: Vec<(&'static str, usize)>,
-    /// The land model's launch mode and frozen kernel count — this
-    /// level's certification verdict: only a `Graph`-mode land model has
-    /// a schedule that is provably identical across windows.
-    pub land_mode: land::kernels::LaunchMode,
-    pub land_kernels_per_step: usize,
-}
-
-impl WindowShape {
-    pub fn capture(
-        g: &Grid,
-        cfg: &EsmConfig,
-        land: &LandModel<Grid>,
-        incoming: &FluxSet,
-    ) -> WindowShape {
-        WindowShape {
-            n_cells: g.n_cells,
-            n_edges: g.n_edges,
-            atm_steps: cfg.atm_steps_per_window(),
-            fluxes_to_fast: incoming.fields.iter().map(|(n, d)| (*n, d.len())).collect(),
-            land_mode: land.recorder.mode(),
-            land_kernels_per_step: land.recorder.kernels_per_step(),
-        }
     }
 }
 
@@ -156,8 +113,7 @@ impl WindowArena {
     }
 
     /// Return a consumed flux bundle's buffers to the pool. Buffers whose
-    /// length matches neither extent (a shape change in flight) are
-    /// dropped, not pooled.
+    /// length matches neither extent are dropped, not pooled.
     pub(crate) fn recycle(&mut self, fx: FluxSet) {
         for (_, data) in fx.fields {
             if data.len() == self.n_edges {
@@ -175,42 +131,23 @@ impl WindowArena {
 pub struct WindowReplayStats {
     /// Windows that ran as a recording pass (including re-records).
     pub recorded_windows: u64,
-    /// Windows replayed against a recorded graph.
+    /// Windows replayed against a live arena.
     pub replayed_windows: u64,
-    /// Times a live recorded graph was discarded: a shape/certification
-    /// mismatch before a window, or a restore (rollback, rank respawn).
+    /// Times a live arena was discarded by a restore (rollback, rank
+    /// respawn).
     pub invalidations: u64,
     /// Recording passes performed after the first (each one follows an
     /// invalidation).
     pub rerecords: u64,
 }
 
-/// What the driver decided for one window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum WindowPlan {
-    /// Valid recorded graph: run against its frozen arena.
-    Replay,
-    /// No graph (or it was just invalidated): run eagerly on a fresh
-    /// arena and commit it afterwards.
-    Record,
-    /// Replay disabled: run eagerly, commit nothing.
-    Eager,
-}
-
-#[derive(Debug)]
-struct WindowGraph {
-    shape: WindowShape,
-    arena: WindowArena,
-}
-
-/// The recorded-window state threaded through `CoupledEsm`: at most one
-/// live graph, its validity signature, and the lifetime counters.
+/// The window arena cache threaded through `CoupledEsm`: at most one
+/// live arena and the lifetime counters.
 #[derive(Debug, Default)]
 pub struct ReplayState {
     pub cfg: ReplayConfig,
-    graph: Option<WindowGraph>,
+    arena: Option<WindowArena>,
     pub stats: WindowReplayStats,
-    ever_recorded: bool,
 }
 
 impl ReplayState {
@@ -221,68 +158,56 @@ impl ReplayState {
         }
     }
 
-    /// Whether a recorded graph is currently live.
+    /// Whether a recorded arena is currently live.
     pub fn has_graph(&self) -> bool {
-        self.graph.is_some()
+        self.arena.is_some()
     }
 
-    /// Fresh allocations made through the live graph's arena (0 without
-    /// one).
+    /// Fresh allocations made through the live arena (0 without one).
     pub fn arena_allocations(&self) -> u64 {
-        self.graph.as_ref().map_or(0, |g| g.arena.allocations)
+        self.arena.as_ref().map_or(0, |a| a.allocations)
     }
 
-    /// Discard the recorded graph, if any. Called by every restore path:
+    /// Discard the live arena, if any. Called by every restore path:
     /// after a rollback or rank respawn the next window re-records
-    /// instead of trusting a schedule frozen on the abandoned trajectory.
+    /// instead of reusing buffers sized on the abandoned trajectory.
     pub fn invalidate(&mut self) {
-        if self.graph.take().is_some() {
+        if self.arena.take().is_some() {
             self.stats.invalidations += 1;
         }
     }
 
-    /// Decide record vs replay for a window of `shape`, counting
-    /// replays and invalidations. A `Record` plan must be followed by
-    /// [`ReplayState::commit`] once the window succeeds.
-    pub(crate) fn begin_window(&mut self, shape: &WindowShape) -> WindowPlan {
+    /// The arena for the next window, counted: the live one (a replay),
+    /// or a fresh one (a recording pass, or every window with replay
+    /// disabled). Hand it back with [`ReplayState::put_back`].
+    pub(crate) fn take(&mut self, n_cells: usize, n_edges: usize) -> WindowArena {
         if !self.cfg.enabled {
-            return WindowPlan::Eager;
+            return WindowArena::new(n_cells, n_edges);
         }
-        match &self.graph {
-            Some(g) if g.shape == *shape => {
-                self.stats.replayed_windows += 1;
-                WindowPlan::Replay
-            }
-            Some(_) => {
-                self.invalidate();
-                WindowPlan::Record
-            }
-            None => WindowPlan::Record,
+        if let Some(arena) = self.arena.take() {
+            self.stats.replayed_windows += 1;
+            return arena;
         }
-    }
-
-    /// The live graph's arena (replay plans only).
-    pub(crate) fn arena_mut(&mut self) -> Option<&mut WindowArena> {
-        self.graph.as_mut().map(|g| &mut g.arena)
-    }
-
-    /// Freeze a completed recording pass: the arena's buffer sizes and
-    /// pool become the graph, `shape` (captured *after* the window, so
-    /// the land schedule is populated) its validity signature.
-    pub(crate) fn commit(&mut self, shape: WindowShape, arena: WindowArena) {
-        self.stats.recorded_windows += 1;
-        if self.ever_recorded {
+        if self.stats.recorded_windows > 0 {
             self.stats.rerecords += 1;
         }
-        self.ever_recorded = true;
-        self.graph = Some(WindowGraph { shape, arena });
+        self.stats.recorded_windows += 1;
+        WindowArena::new(n_cells, n_edges)
     }
 
-    /// Return a consumed flux bundle to the live graph's pool (dropped
-    /// when no graph is live).
+    /// Keep `arena` live for the next window, whether or not the window
+    /// that used it succeeded (dropped when replay is disabled).
+    pub(crate) fn put_back(&mut self, arena: WindowArena) {
+        if self.cfg.enabled {
+            self.arena = Some(arena);
+        }
+    }
+
+    /// Return a consumed flux bundle to the live arena's pool (dropped
+    /// when no arena is live).
     pub(crate) fn recycle(&mut self, fx: FluxSet) {
-        if let Some(g) = self.graph.as_mut() {
-            g.arena.recycle(fx);
+        if let Some(a) = self.arena.as_mut() {
+            a.recycle(fx);
         }
     }
 }
@@ -291,27 +216,20 @@ impl ReplayState {
 mod tests {
     use super::*;
 
-    fn shape(n: usize) -> WindowShape {
-        WindowShape {
-            n_cells: n,
-            n_edges: 3 * n,
-            atm_steps: 4,
-            fluxes_to_fast: vec![("sst", n)],
-            land_mode: land::kernels::LaunchMode::Graph,
-            land_kernels_per_step: 7,
-        }
-    }
-
     #[test]
-    fn record_then_replay_then_invalidate_on_shape_change() {
+    fn record_then_replay_then_rerecord_after_invalidate() {
+        let window = |rs: &mut ReplayState| {
+            let a = rs.take(8, 24);
+            rs.put_back(a);
+        };
         let mut rs = ReplayState::default();
-        assert_eq!(rs.begin_window(&shape(8)), WindowPlan::Record);
-        rs.commit(shape(8), WindowArena::new(8, 24));
-        assert_eq!(rs.begin_window(&shape(8)), WindowPlan::Replay);
-        assert_eq!(rs.begin_window(&shape(8)), WindowPlan::Replay);
-        // A different bundle layout must not replay stale splits.
-        assert_eq!(rs.begin_window(&shape(9)), WindowPlan::Record);
-        rs.commit(shape(9), WindowArena::new(9, 27));
+        for _ in 0..3 {
+            window(&mut rs);
+        }
+        rs.invalidate();
+        rs.invalidate(); // already gone: still one invalidation
+        window(&mut rs);
+        assert!(rs.has_graph());
         assert_eq!(
             rs.stats,
             WindowReplayStats {
@@ -326,22 +244,11 @@ mod tests {
     #[test]
     fn disabled_replay_never_records() {
         let mut rs = ReplayState::new(ReplayConfig { enabled: false });
-        assert_eq!(rs.begin_window(&shape(8)), WindowPlan::Eager);
+        let a = rs.take(8, 24);
+        assert_eq!(a.allocations, 4, "a fresh arena");
+        rs.put_back(a);
         assert!(!rs.has_graph());
         assert_eq!(rs.stats, WindowReplayStats::default());
-    }
-
-    #[test]
-    fn explicit_invalidate_counts_once_per_live_graph() {
-        let mut rs = ReplayState::default();
-        rs.invalidate(); // no graph: a no-op
-        assert_eq!(rs.stats.invalidations, 0);
-        assert_eq!(rs.begin_window(&shape(8)), WindowPlan::Record);
-        rs.commit(shape(8), WindowArena::new(8, 24));
-        rs.invalidate();
-        rs.invalidate(); // already gone: still one invalidation
-        assert_eq!(rs.stats.invalidations, 1);
-        assert_eq!(rs.begin_window(&shape(8)), WindowPlan::Record);
     }
 
     #[test]

@@ -235,8 +235,8 @@ pub struct ResilienceReport {
     pub graph_recordings: u64,
     /// Coupled windows replayed against a recorded window graph.
     pub graph_replays: u64,
-    /// Recorded window graphs discarded: shape/certification mismatches
-    /// plus every restore (rollback-replay, rank respawn).
+    /// Recorded window arenas discarded by a restore (rollback-replay,
+    /// rank respawn).
     pub graph_invalidations: u64,
     /// Recording passes that followed an invalidation.
     pub graph_rerecords: u64,

@@ -157,12 +157,13 @@ struct Supervision<'a> {
     /// Absolute window base (windows already run before this call).
     w0: u64,
     rings: [CheckpointRing; 2],
-    /// Per checkpoint: the completed-window count it covers and each
-    /// ring's generation (`None`: that side's write failed).
-    gens: Vec<(u64, [Option<u64>; 2])>,
+    /// Per checkpoint still on both rings: the completed-window count it
+    /// covers and each ring's generation.
+    gens: Vec<(u64, [u64; 2])>,
     /// Per side: entry `v + 1` is the output of local window `v` and
     /// whether it was computed from a true (non-degraded) input; entry 0
-    /// is the pre-run lag state the peer consumes in window 0.
+    /// is the pre-run lag state the peer consumes in window 0. Entries
+    /// below every window recovery or catch-up can still run are cleared.
     out_log: [Vec<Option<(FluxSet, bool)>>; 2],
     /// Gate screening each side's *outgoing* fluxes.
     gates: [QuarantineGate; 2],
@@ -261,8 +262,12 @@ impl Supervision<'_> {
     /// Write one generation of both per-side rings (state after
     /// `completed` local windows). A side whose write fails (beyond the
     /// ring's own retries) is a recorded degraded event, not a run
-    /// killer: that side simply has no generation at this base, and
-    /// `recover` falls back to the previous *common* base.
+    /// killer: there is no common base at `completed`, and `recover`
+    /// falls back to the previous one.
+    ///
+    /// Then forget what recovery can no longer use: bases one of whose
+    /// generations its ring has pruned, and the logged outputs below the
+    /// oldest remaining base and below both sides' next window.
     fn checkpoint(&mut self, esm: &CoupledEsm, completed: u64) {
         let gens = SIDES.map(|side| {
             let snap = esm.snapshot_side(side);
@@ -271,7 +276,16 @@ impl Supervision<'_> {
             self.report.write_generation(ring, &snap, N_FILES, &what)
         });
         self.newest_gen = gens.iter().flatten().fold(self.newest_gen, |a, &g| a.max(g));
-        self.gens.push((completed, gens));
+        if let [Some(gf), Some(gs)] = gens {
+            self.gens.push((completed, [gf, gs]));
+        }
+        let rings = &self.rings;
+        self.gens.retain(|(_, g)| rings[0].keeps(g[0]) && rings[1].keeps(g[1]));
+        let oldest = self.gens.first().map_or(u64::MAX, |g| g.0);
+        let floor = oldest.min(self.next_run[0]).min(self.next_run[1]) as usize;
+        for log in &mut self.out_log {
+            log[..floor].iter_mut().for_each(|e| *e = None);
+        }
     }
 
     /// Localized recovery of `failed` at local window `w`: restore both
@@ -283,12 +297,9 @@ impl Supervision<'_> {
     fn recover(&mut self, esm: &mut CoupledEsm, failed: Side, w: u64) -> Result<(), EsmError> {
         // Checkpoints that landed on BOTH rings, newest first.
         let mut restored = None;
-        for &(base, gens) in self.gens.iter().rev().filter(|g| g.0 <= w) {
-            let [Some(gf), Some(gs)] = gens else {
-                continue;
-            };
-            // Damaged or pruned generations are skipped; recovery walks
-            // back to the next common base, exactly like the global ring.
+        for &(base, [gf, gs]) in self.gens.iter().rev().filter(|g| g.0 <= w) {
+            // Damaged generations are skipped; recovery walks back to the
+            // next common base, exactly like the global ring.
             let fast = self.rings[0].read_generation(gf, N_READERS);
             let slow = self.rings[1].read_generation(gs, N_READERS);
             match (fast, slow) {
@@ -643,6 +654,48 @@ mod tests {
         b.run_windows(8, false).unwrap();
         assert_states_eq(&a, &b);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A kill after the rings have pruned their oldest generations, with
+    /// the newest common base unreadable: recovery falls back to an older
+    /// base the rings still keep, and replays from flux-log entries that
+    /// pruning must have left in place.
+    #[test]
+    fn kill_after_the_rings_pruned_recovers_bitwise_from_an_older_base() {
+        use iosys::{FaultFs, OpKind, StorageFault};
+        // Checkpoints at windows 0, 2, ..., 12 before the slow rank dies
+        // at window 13: more than KEEP_GENERATIONS of them.
+        let run = |fs: Arc<FaultFs>| {
+            let dir = scratch_dir("sup_kill_late");
+            let scfg = SupervisorConfig {
+                storage: Some(fs as Arc<dyn Storage>),
+                ..quick_scfg()
+            };
+            let plan = Arc::new(FaultPlan::new().kill_rank(2, 13));
+            let mut esm = tiny();
+            let report = esm.run_windows_supervised(16, &dir, &scfg, Some(plan)).unwrap();
+            std::fs::remove_dir_all(&dir).ok();
+            (esm, report)
+        };
+        // A fault-free pass finds the recovery's first file read (the
+        // newest fast-side generation) among the read-class ops.
+        let probe = Arc::new(FaultFs::new());
+        run(probe.clone());
+        let reads: Vec<OpKind> = (probe.op_log().into_iter().map(|o| o.kind))
+            .filter(|k| matches!(k, OpKind::Read | OpKind::List))
+            .collect();
+        let nth_read = 1 + reads.iter().position(|k| *k == OpKind::Read).unwrap() as u64;
+
+        let fs = FaultFs::new().fault(StorageFault::ReadFail { nth_read });
+        let (a, report) = run(Arc::new(fs));
+        assert!(report.checkpoints_written > 2 * KEEP_GENERATIONS as u64, "{report:?}");
+        assert_eq!(report.respawns, 1, "{:?}", report.timeline);
+        assert_eq!(report.generation_fallbacks, 1, "the window-12 base is unreadable");
+        assert_eq!(report.replayed_windows, 5, "replayed from the window-10 base");
+
+        let mut b = tiny();
+        b.run_windows(16, false).unwrap();
+        assert_states_eq(&a, &b);
     }
 
     #[test]

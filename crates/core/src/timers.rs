@@ -116,16 +116,6 @@ impl Timers {
             busy_s / (wall_s * self.threads as f64)
         }
     }
-
-    /// Pool utilization of the atmosphere + land bucket.
-    pub fn atm_land_utilization(&self) -> f64 {
-        self.utilization(self.atm_land_s, self.atm_land_busy_s)
-    }
-
-    /// Pool utilization of the ocean + BGC bucket.
-    pub fn ocean_bgc_utilization(&self) -> f64 {
-        self.utilization(self.ocean_bgc_s, self.ocean_bgc_busy_s)
-    }
 }
 
 #[cfg(test)]

@@ -73,11 +73,6 @@ impl CouplingClock {
         (self.coupling_s / self.dt_slow).round() as usize
     }
 
-    /// Coupling windows per simulated day.
-    pub fn windows_per_day(&self) -> usize {
-        (86_400.0 / self.coupling_s).round() as usize
-    }
-
     /// The paper's 1.25 km clock: dt 10 s / 60 s, coupling 600 s.
     pub fn km1p25() -> Result<CouplingClock, ClockError> {
         CouplingClock::new(10.0, 60.0, 600.0)
@@ -98,7 +93,6 @@ mod tests {
         let c1 = CouplingClock::km1p25().unwrap();
         assert_eq!(c1.fast_steps(), 60);
         assert_eq!(c1.slow_steps(), 10);
-        assert_eq!(c1.windows_per_day(), 144);
         let c10 = CouplingClock::km10().unwrap();
         assert_eq!(c10.fast_steps(), 8);
         assert_eq!(c10.slow_steps(), 1);

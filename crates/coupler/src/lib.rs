@@ -1,6 +1,8 @@
-//! YAC-style coupler: conservative remapping between icosahedral grids,
-//! the coupling schedule, and the concurrent component-execution harness
-//! with coupling-wait accounting.
+//! YAC-style coupler: the coupling schedule, the typed flux registry and
+//! quarantine gates, and the concurrent component-execution harness with
+//! coupling-wait accounting. Atmosphere, land and ocean share one grid
+//! (as in the paper's Table 2, where the land and ocean cells make up the
+//! atmosphere grid), so fields are exchanged cell for cell, unremapped.
 //!
 //! §5.1 of the paper: "Only energy, water and carbon are exchanged between
 //! the atmosphere and the ocean at a coupling timestep every 10 simulated
@@ -9,18 +11,17 @@
 //! for ocean/sea-ice/biogeochemistry components and vice versa."
 //!
 //! Pieces:
-//! * [`remap`] — first-order conservative remapping between `R2B(k)` grids
-//!   of different refinement (exact, using the subdivision-tree child
-//!   ordering);
 //! * [`clock`] — coupling schedule arithmetic for the two time steps;
 //! * [`exchange`] — named flux bundles plus a channel-based concurrent
 //!   window runner that measures each side's coupling wait.
+//! * [`fluxreg`] — every exchanged field's bounds, unit, sign convention
+//!   and conserved class in one table;
+//! * [`quarantine`] — per-field gates screening outgoing fluxes.
 
 pub mod clock;
 pub mod exchange;
 pub mod fluxreg;
 pub mod quarantine;
-pub mod remap;
 
 pub use clock::{ClockError, CouplingClock};
 pub use dace_mini::units::ConservedClass;
@@ -29,4 +30,3 @@ pub use exchange::{
     run_concurrent_windows, CouplerStats, Endpoint, FluxError, FluxSet, PersistenceFallback,
 };
 pub use quarantine::{FieldBounds, QuarantineEvent, QuarantineGate, RepairPolicy};
-pub use remap::Remapper;

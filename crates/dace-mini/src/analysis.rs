@@ -494,21 +494,6 @@ impl AnalysisReport {
             .iter()
             .all(|s| s.cert == Certification::ParallelSafe)
     }
-
-    /// Escalate into a typed error if any error diagnostic is present.
-    pub fn into_result(self) -> Result<AnalysisReport, AnalysisError> {
-        if self.is_clean() {
-            Ok(self)
-        } else {
-            let errs = self
-                .diagnostics
-                .iter()
-                .filter(|d| d.severity() == Severity::Error)
-                .cloned()
-                .collect();
-            Err(AnalysisError::new(errs))
-        }
-    }
 }
 
 // ------------------------------------------------------------------
@@ -979,11 +964,6 @@ pub fn verify_sdfg(sdfg: &Sdfg, ctx: &AnalysisContext) -> AnalysisReport {
     }
 }
 
-/// Verify and escalate: `Err` carries every error-severity diagnostic.
-pub fn verify_sdfg_strict(sdfg: &Sdfg, ctx: &AnalysisContext) -> Result<AnalysisReport, AnalysisError> {
-    verify_sdfg(sdfg, ctx).into_result()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1124,15 +1104,6 @@ mod tests {
         assert!(rep.is_clean(), "warnings only");
         assert!(rep.warnings().any(|d| d.code == DiagCode::UnusedInput
             && d.message.contains("never")));
-    }
-
-    #[test]
-    fn strict_mode_escalates_to_typed_error() {
-        let ctx = ctx_cells().field("x", "cells", true, FieldIo::Input);
-        let sdfg = lower("kernel t over cells x(p,k) = x(neighbor(p,0),k); end");
-        let err = verify_sdfg_strict(&sdfg, &ctx).unwrap_err();
-        assert!(err.diagnostics.iter().all(|d| d.severity() == Severity::Error));
-        assert!(err.to_string().contains("E01"), "{err}");
     }
 
     #[test]

@@ -16,8 +16,7 @@
 //! * [`grid`] — the assembled [`Grid`](grid::Grid) with full topology and
 //!   C-grid geometry (circumcenters, primal/dual edge lengths, orientation
 //!   signs),
-//! * [`vertical`] — hybrid sigma-height atmosphere levels (SLEVE-like) and
-//!   stretched ocean depth levels,
+//! * [`vertical`] — stretched ocean depth levels,
 //! * [`mask`] — deterministic synthetic Earth-like land–sea masks
 //!   (substitute for observed topography, see DESIGN.md),
 //! * [`field`] — dense column-major field containers,
@@ -49,7 +48,7 @@ pub use geom::Vec3;
 pub use grid::Grid;
 pub use mask::LandSeaMask;
 pub use subgrid::SubGrid;
-pub use vertical::{OceanLevels, VerticalGrid};
+pub use vertical::OceanLevels;
 
 /// Mean Earth radius in metres, as used by ICON.
 pub const EARTH_RADIUS_M: f64 = 6.371e6;

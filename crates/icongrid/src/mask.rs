@@ -84,16 +84,6 @@ impl SphericalNoise {
 }
 
 impl LandSeaMask {
-    /// All-ocean mask (aqua-planet), uniform depth.
-    pub fn aqua_planet(grid: &Grid, depth: f64) -> Self {
-        LandSeaMask {
-            is_land: vec![false; grid.n_cells],
-            elevation: vec![0.0; grid.n_cells],
-            bathymetry: vec![depth; grid.n_cells],
-            land_fraction: 0.0,
-        }
-    }
-
     /// Synthetic Earth: continents from seeded spherical noise, thresholded
     /// at the area quantile giving `land_fraction_target`.
     pub fn synthetic_earth(grid: &Grid, seed: u64, land_fraction_target: f64) -> Self {
@@ -231,14 +221,5 @@ mod tests {
                 assert_eq!(m.elevation[c], 0.0);
             }
         }
-    }
-
-    #[test]
-    fn aqua_planet_has_no_land() {
-        let g = grid();
-        let m = LandSeaMask::aqua_planet(&g, 4000.0);
-        assert_eq!(m.n_land_cells(), 0);
-        assert_eq!(m.land_fraction, 0.0);
-        assert!(m.bathymetry.iter().all(|&d| d == 4000.0));
     }
 }

@@ -347,13 +347,6 @@ pub fn flux_divergence_upwind<G: CGrid>(g: &G, vn: &Field3, q: &Field3, out: &mu
         });
 }
 
-/// Scalar Laplacian at cells (divergence of the edge-normal gradient) —
-/// used for horizontal diffusion. `out[c] = div(grad s)[c]`.
-pub fn laplacian<G: CGrid>(g: &G, s: &Field3, scratch_edges: &mut Field3, out: &mut Field3) {
-    gradient(g, s, scratch_edges);
-    divergence(g, scratch_edges, out);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -564,24 +557,5 @@ mod tests {
         let total = tend.weighted_sum(&g.cell_area);
         let scale: f64 = q.weighted_sum(&g.cell_area);
         assert!(total.abs() < 1e-10 * scale.abs());
-    }
-
-    #[test]
-    fn laplacian_of_linear_z_is_smooth() {
-        // Laplacian of the first spherical harmonic z: lap(Y1) = -2/R^2 * Y1.
-        let g = grid();
-        let s = Field3::from_fn(g.n_cells, 1, |c, _| g.cell_center[c].z);
-        let mut scratch = Field3::zeros(g.n_edges, 1);
-        let mut lap = Field3::zeros(g.n_cells, 1);
-        laplacian(&g, &s, &mut scratch, &mut lap);
-        let k = -2.0 / (g.radius * g.radius);
-        for c in 0..g.n_cells {
-            let analytic = k * g.cell_center[c].z;
-            assert!(
-                (lap.at(c, 0) - analytic).abs() < 0.4 * k.abs(),
-                "cell {c}: {} vs {analytic}",
-                lap.at(c, 0)
-            );
-        }
     }
 }

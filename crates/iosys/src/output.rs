@@ -89,7 +89,9 @@ pub enum FullPolicy {
 pub struct OutputPolicy {
     /// Re-tries per record after the first failed append.
     pub write_retries: u32,
-    /// Sleep before retry `i` (1-based) is `i * backoff`.
+    /// Wait before retry `i` (1-based) is `i * backoff`
+    /// ([`Storage::backoff`]: a sleep on [`RealFs`], none on a simulated
+    /// device).
     pub backoff: Duration,
     /// Queue-full behavior at `post`.
     pub on_full: FullPolicy,
@@ -212,7 +214,7 @@ impl Writer {
                     if attempt < self.policy.write_retries {
                         attempt += 1;
                         self.stats.lock().write_retries += 1;
-                        std::thread::sleep(self.policy.backoff * attempt);
+                        self.storage.backoff(self.policy.backoff * attempt);
                         continue;
                     }
                     // Out of retries: shed this record, keep serving.

@@ -434,7 +434,8 @@ pub fn read_checkpoint_with(
 
 /// Bounded retry with linear backoff for transient storage errors on the
 /// checkpoint write path. `attempts` is the number of *re*-tries after the
-/// first failure; attempt `i` (1-based) sleeps `i * backoff` first.
+/// first failure; attempt `i` (1-based) waits `i * backoff` first
+/// ([`Storage::backoff`]: a sleep on [`RealFs`], none on a simulated device).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     pub attempts: u32,
@@ -519,6 +520,12 @@ impl CheckpointRing {
         self.io_retries
     }
 
+    /// Whether `generation` is still among the newest `keep` this ring
+    /// has written — not yet pruned by a later [`CheckpointRing::write`].
+    pub fn keeps(&self, generation: u64) -> bool {
+        generation < self.next_gen && generation + self.keep as u64 >= self.next_gen
+    }
+
     fn gen_stem(&self, generation: u64) -> String {
         format!("{}.g{generation:04}", self.stem)
     }
@@ -574,7 +581,7 @@ impl CheckpointRing {
                     }
                     attempt += 1;
                     self.io_retries += 1;
-                    std::thread::sleep(self.retry.backoff * attempt);
+                    self.storage.backoff(self.retry.backoff * attempt);
                 }
             }
         }
@@ -905,6 +912,8 @@ mod tests {
             assert_eq!(ring.write(&s, 2).unwrap(), i + 1);
         }
         assert_eq!(ring.generations().unwrap(), vec![3, 4, 5]);
+        let kept: Vec<u64> = (0..8).filter(|&g| ring.keeps(g)).collect();
+        assert_eq!(kept, [3, 4, 5], "keeps() names what is on disk");
         let (g, snap) = ring.read_latest_intact(1).unwrap();
         assert_eq!(g, 5);
         assert_eq!(snap.expect("v"), &[4.0]);

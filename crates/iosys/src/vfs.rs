@@ -50,6 +50,7 @@ use std::fs::{self, File};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Every file operation the I/O path performs. Object-safe so drivers can
 /// hold an `Arc<dyn Storage>` chosen at run time.
@@ -73,6 +74,9 @@ pub trait Storage: Send + Sync + std::fmt::Debug {
     fn list(&self, dir: &Path) -> io::Result<Vec<PathBuf>>;
     /// Remove the file at `path`.
     fn remove(&self, path: &Path) -> io::Result<()>;
+    /// Wait `wait` before retrying a failed operation. Not a file
+    /// operation: no fault plan or op log sees it.
+    fn backoff(&self, wait: Duration);
 }
 
 /// The real file system. `fsync`/`fsync_dir` map to `File::sync_all` on
@@ -133,6 +137,10 @@ impl Storage for RealFs {
 
     fn remove(&self, path: &Path) -> io::Result<()> {
         fs::remove_file(path)
+    }
+
+    fn backoff(&self, wait: Duration) {
+        std::thread::sleep(wait);
     }
 }
 
@@ -626,6 +634,10 @@ impl Storage for FaultFs {
         drop(st);
         self.inner.remove(path)
     }
+
+    /// A simulated device has nothing to wait for: returns at once and
+    /// logs no op, so crash points keep their op indices.
+    fn backoff(&self, _wait: Duration) {}
 }
 
 #[cfg(test)]
@@ -648,6 +660,17 @@ mod tests {
         s.remove(&dir.join("b.bin")).unwrap();
         assert!(s.list(&dir).unwrap().is_empty());
         fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn simulated_backoff_returns_at_once_and_logs_no_op() {
+        let s = FaultFs::new().crash_after(1);
+        let t0 = std::time::Instant::now();
+        s.backoff(Duration::from_secs(5));
+        assert!(t0.elapsed() < Duration::from_secs(1));
+        assert_eq!(s.ops(), 0);
+        assert!(s.op_log().is_empty());
+        assert_eq!(s.report().crashed_ops, 0);
     }
 
     #[test]

@@ -365,11 +365,6 @@ impl ThroughputModel {
         }
     }
 
-    /// Strong-scaling curve over a list of chip counts.
-    pub fn strong_scaling(&self, chips: &[u32]) -> Vec<ScalingPoint> {
-        chips.iter().map(|&p| self.scaling_point(p)).collect()
-    }
-
     /// Minimum chips on which the configuration fits in GPU memory
     /// (the paper could not fit 1.25 km below 2048 superchips).
     pub fn min_chips_by_memory(&self) -> u32 {

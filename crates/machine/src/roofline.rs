@@ -55,17 +55,6 @@ impl Roofline {
         }
     }
 
-    /// Grace CPU die (no launch latency: host loops).
-    pub fn grace() -> Roofline {
-        Roofline {
-            name: "Grace",
-            peak_bw_bytes_s: chips::GRACE.peak_bw_gbs * 1e9,
-            dram_eff: calib::CPU_EFF_GRACE,
-            peak_flops_s: chips::GRACE.peak_fp64_gflops * 1e9,
-            launch_s: 0.0,
-        }
-    }
-
     /// Bandwidth a tuned kernel actually sustains (bytes/s).
     pub fn sustained_bw_bytes_s(&self) -> f64 {
         self.peak_bw_bytes_s * self.dram_eff

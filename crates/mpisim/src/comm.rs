@@ -41,14 +41,13 @@
 
 use crate::fault::{msg_checksum, CommError, FaultAction, FaultPlan};
 use crate::protocol::{CollOp, ProtoCode, RankTrace, TraceOp};
-use crate::stats::TrafficStats;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 /// A point-to-point message. Payloads are `f64` vectors — every field and
-/// flux in the model is `f64`, and the traffic meter charges 8 bytes per
-/// element, matching the double-precision claim of the paper. Each message
+/// flux in the model is `f64`, matching the double-precision claim of the
+/// paper. Each message
 /// carries a per-edge sequence number (receiver-side deduplication of
 /// injected duplicates) and an FNV checksum (detection of corruption).
 #[derive(Debug)]
@@ -353,7 +352,6 @@ fn find_cycle(adj: &[Vec<usize>]) -> Option<Vec<usize>> {
 
 /// What the ranks of one world share.
 struct WorldShared {
-    stats: TrafficStats,
     faults: Option<Arc<FaultPlan>>,
     sched: Mutex<Scheduler>,
     /// Signalled whenever a parked rank is woken.
@@ -398,16 +396,7 @@ impl World {
     /// Run `f` on `n` ranks and collect each rank's result, ordered by
     /// rank. Panics in any rank propagate.
     pub fn run<T: Send>(n: usize, f: impl Fn(Comm) -> T + Sync) -> Vec<T> {
-        Self::launch(n, None, f).0
-    }
-
-    /// Like [`World::run`] but also returns the traffic totals.
-    pub fn run_with_stats<T: Send>(
-        n: usize,
-        f: impl Fn(Comm) -> T + Sync,
-    ) -> (Vec<T>, crate::TrafficSnapshot) {
-        let (results, traffic, _) = Self::launch(n, None, f);
-        (results, traffic)
+        Self::run_traced(n, None, f).0
     }
 
     /// Run `f` on `n` ranks with `faults` (if any) injected into the
@@ -421,18 +410,8 @@ impl World {
         faults: Option<Arc<FaultPlan>>,
         f: impl Fn(Comm) -> T + Sync,
     ) -> (Vec<T>, Vec<RankTrace>) {
-        let (results, _, traces) = Self::launch(n, faults, f);
-        (results, traces)
-    }
-
-    fn launch<T: Send>(
-        n: usize,
-        faults: Option<Arc<FaultPlan>>,
-        f: impl Fn(Comm) -> T + Sync,
-    ) -> (Vec<T>, crate::TrafficSnapshot, Vec<RankTrace>) {
         assert!(n >= 1);
         let shared = Arc::new(WorldShared {
-            stats: TrafficStats::new(),
             faults,
             sched: Mutex::new(Scheduler::new(n)),
             cv: Condvar::new(),
@@ -469,7 +448,7 @@ impl World {
                 })
             })
             .collect();
-        (results, shared.stats.snapshot(), traces)
+        (results, traces)
     }
 }
 
@@ -525,7 +504,6 @@ impl Comm {
             }
             Some(FaultAction::BitFlip { .. }) => {}
         }
-        self.shared.stats.record_send(data.len() * 8);
         // A message sent behind a delayed one on the same edge waits with
         // it: messages never overtake each other on an edge (as in MPI).
         let delay = delay || s.delayed.iter().any(|(d, m)| *d == dst && m.src == src);
@@ -649,10 +627,6 @@ impl Comm {
         xs: &[f64],
         finish: impl FnOnce(&[Vec<f64>]) -> Vec<f64>,
     ) -> Vec<f64> {
-        self.shared.stats.record_collective_rank(xs.len() * 8);
-        if self.rank == 0 {
-            self.shared.stats.record_collective_op();
-        }
         let (me, ns) = (self.group[self.rank], self.tag_ns);
         let mut s = self.shared.sched.lock();
         s.ranks[me].trace.record(TraceOp::Collective { op, comm: ns }, 0);
@@ -884,8 +858,8 @@ mod tests {
     }
 
     #[test]
-    fn traffic_is_metered() {
-        let (_, snap) = World::run_with_stats(3, |comm| {
+    fn traces_count_every_send_and_collective() {
+        let (_, traces) = World::run_traced(3, None, |comm| {
             if comm.rank() == 0 {
                 comm.send(1, 0, &[0.0; 10]);
             }
@@ -894,9 +868,17 @@ mod tests {
             }
             comm.barrier();
         });
-        assert_eq!(snap.p2p_messages, 1);
-        assert_eq!(snap.p2p_bytes, 80);
-        assert_eq!(snap.collectives, 1);
+        let count = |t: &RankTrace, send: bool| {
+            let hit = |op: &TraceOp| match op {
+                TraceOp::Send { .. } => send,
+                TraceOp::Collective { .. } => !send,
+                _ => false,
+            };
+            t.events.iter().filter(|e| hit(&e.op)).count()
+        };
+        let sends: Vec<usize> = traces.iter().map(|t| count(t, true)).collect();
+        assert_eq!(sends, [1, 0, 0]);
+        assert!(traces.iter().all(|t| count(t, false) == 1), "one barrier per rank");
     }
 
     #[test]

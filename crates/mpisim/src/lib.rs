@@ -6,8 +6,8 @@
 //! machine: every MPI rank becomes a thread, point-to-point messages and
 //! collectives go through one world scheduler that never reads a clock (a
 //! wait is given up only when the world is quiescent — the rule in
-//! [`comm`]), and all traffic is metered so the `machine` cost model can be
-//! driven by *measured* communication volumes.
+//! [`comm`]), and every rank's sends, receives and collectives land in
+//! its [`RankTrace`].
 //!
 //! The simulation is *real* parallelism (ranks genuinely run concurrently
 //! and only see data they received), not a serial emulation — so races,
@@ -21,7 +21,6 @@ pub mod halo;
 pub mod heartbeat;
 pub mod protocol;
 pub mod rank_exchange;
-pub mod stats;
 
 pub use comm::{Comm, World};
 pub use explore::{broken_fixtures, explore, BrokenRound, ExploreReport, FaultRun};
@@ -30,4 +29,3 @@ pub use halo::HaloExchanger;
 pub use heartbeat::{heartbeat_round, heartbeat_round_traced, BeatConfig, BeatStatus};
 pub use protocol::{CollOp, ProtoCode, ProtoDiag, RankTrace, TraceEvent, TraceOp};
 pub use rank_exchange::RankExchange;
-pub use stats::{TrafficSnapshot, TrafficStats};

@@ -12,7 +12,7 @@
 //! | [`land`] | JSBach-like land + vegetation + rivers |
 //! | [`ocean`] | ocean + barotropic CG solver + sea ice |
 //! | [`hamocc`] | 19-tracer ocean biogeochemistry |
-//! | [`coupler`] | YAC-style remapping, clock, concurrent windows |
+//! | [`coupler`] | YAC-style exchange on one shared grid, clock, concurrent windows |
 //! | [`dace_mini`] | DSL -> SDFG -> transforms -> executors (§5.2) |
 //! | [`iosys`] | multi-file restart + async output |
 //! | [`esm_core`] | the coupled Earth-system driver |

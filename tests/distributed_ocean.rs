@@ -5,9 +5,22 @@
 //! characteristic.
 
 use icongrid::{Decomposition, Field2, Grid, NoExchange, SubGrid};
-use mpisim::{RankExchange, World};
+use mpisim::{RankExchange, RankTrace, TraceOp, World};
 use ocean::BarotropicSolver;
 use std::sync::Arc;
+
+/// Sends across all ranks' traces, or with `collectives` the collectives
+/// world rank 0 entered (every member records each collective once).
+fn count(traces: &[RankTrace], collectives: bool) -> usize {
+    assert!(traces.iter().all(|t| t.dropped == 0), "trace ring overflowed");
+    let ranks = if collectives { &traces[..1] } else { traces };
+    let hit = |op: &TraceOp| match op {
+        TraceOp::Send { .. } => !collectives,
+        TraceOp::Collective { .. } => collectives,
+        _ => false,
+    };
+    ranks.iter().flat_map(|t| &t.events).filter(|e| hit(&e.op)).count()
+}
 
 fn rhs_field(g: &Grid) -> Field2 {
     Field2::from_fn(g.n_cells, |c| {
@@ -63,20 +76,20 @@ fn distributed_cg_matches_serial_to_tolerance() {
             .map(|v| v.to_bits())
             .collect::<Vec<u64>>()
     };
-    let (eta_bits, traffic) = World::run_with_stats(np, solve);
+    let (eta_bits, traces) = World::run_traced(np, None, solve);
 
     // Every iteration performed global reductions (3 dots) and a halo
     // exchange: the collective count must reflect that.
+    let collectives = count(&traces, true);
     assert!(
-        traffic.collectives > 10,
-        "CG must be dominated by global communication, saw {} collectives",
-        traffic.collectives
+        collectives > 10,
+        "CG must be dominated by global communication, saw {collectives} collectives"
     );
-    assert!(traffic.p2p_messages > 0, "halo exchanges must flow");
+    assert!(count(&traces, false) > 0, "halo exchanges must flow");
 
     // Collectives fold in rank order, whichever rank thread arrives
     // first, so a second solve reproduces the first bit for bit.
-    let (eta_bits_again, _) = World::run_with_stats(np, solve);
+    let eta_bits_again = World::run(np, solve);
     assert_eq!(
         eta_bits_again, eta_bits,
         "np = {np}: distributed CG is not reproducible"
@@ -89,14 +102,14 @@ fn solver_communication_grows_with_iterations() {
     // more allreduces: the scaling-limiting behaviour of §7.
     let grid = Grid::build(2, icongrid::EARTH_RADIUS_M);
     let wet = vec![true; grid.n_cells];
-    let count_collectives = |depth: f64| -> u64 {
+    let count_collectives = |depth: f64| -> usize {
         let decomp = Decomposition::new(&grid, 2);
         let subs: Vec<Arc<SubGrid>> = (0..2)
             .map(|p| Arc::new(SubGrid::build(&grid, &decomp, p)))
             .collect();
         let wet = wet.clone();
         let grid = &grid;
-        let (_, traffic) = World::run_with_stats(2, |comm| {
+        let (_, traces) = World::run_traced(2, None, |comm| {
             let sub = subs[comm.rank()].clone();
             let x = RankExchange::new(&comm, &sub, 9);
             let depths_l = vec![depth; sub.n_cells];
@@ -112,7 +125,7 @@ fn solver_communication_grows_with_iterations() {
             assert!(st.converged);
         });
         let _ = wet;
-        traffic.collectives
+        count(&traces, true)
     };
     let shallow = count_collectives(100.0);
     let deep = count_collectives(6000.0);
