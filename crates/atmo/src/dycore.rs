@@ -253,9 +253,13 @@ pub fn step_dynamics<G: CGrid, X: Exchange>(
     x.edges3(&mut ws.vn_star);
     ws.mass_flux.as_mut_slice().copy_from_slice(ws.stage_flux.as_slice());
 
-    // Stage 2 at the provisional state.
-    let (delta_star, vn_star) = (ws.delta_star.clone(), ws.vn_star.clone());
+    // Stage 2 at the provisional state, moved out of the workspace for
+    // the call and back after it.
+    let delta_star = std::mem::take(&mut ws.delta_star);
+    let vn_star = std::mem::take(&mut ws.vn_star);
     tendencies(g, params, &delta_star, &vn_star, z_surface, ws, 1);
+    ws.delta_star = delta_star;
+    ws.vn_star = vn_star;
     // Average tendencies; accumulate the averaged mass flux.
     combine_avg(&mut state.delta, &ws.d_delta[0], &ws.d_delta[1], dt);
     combine_avg(&mut state.vn, &ws.d_vn[0], &ws.d_vn[1], dt);

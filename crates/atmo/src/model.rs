@@ -23,6 +23,7 @@ pub struct Atmosphere<G: CGrid> {
     /// Lowest-layer wind speed at cells, diagnosed each step (coupler
     /// input and physics input).
     pub wind_lowest: Field2,
+    phys: physics::PhysicsTables,
     steps_taken: u64,
 }
 
@@ -42,6 +43,7 @@ impl<G: CGrid> Atmosphere<G> {
             ws,
             delta_old: Field3::zeros(nc, nlev),
             wind_lowest: Field2::zeros(nc),
+            phys: physics::PhysicsTables::default(),
             steps_taken: 0,
         }
     }
@@ -104,7 +106,7 @@ impl<G: CGrid> Atmosphere<G> {
         }
 
         // --- column physics (no exchange needed: deterministic per column).
-        physics::apply_physics(g, p, &mut self.state, &self.wind_lowest);
+        physics::apply_physics(g, p, &mut self.state, &self.wind_lowest, &mut self.phys);
 
         self.state.time_s += dt;
         self.steps_taken += 1;

@@ -81,11 +81,8 @@ impl AtmState {
             let t = params.layer_temp[k] - 20.0 * sinlat * sinlat;
             0.7 * AtmParams::q_saturation(t) * ((k + 1) as f64 / nlev as f64).powi(2)
         });
-        let o3 = Field3::from_fn(n_cells, nlev, |_, k| {
-            // Stratospheric maximum near the top quarter of the column.
-            let x = k as f64 / (nlev - 1).max(1) as f64;
-            O3_PEAK * (-(x - 0.15) * (x - 0.15) / 0.02).exp()
-        });
+        // Stratospheric maximum near the top quarter of the column.
+        let o3 = Field3::from_fn(n_cells, nlev, |_, k| crate::physics::o3_target(k, nlev));
         let t_surface = Field2::from_fn(n_cells, |c| {
             let sinlat = grid.cell_center(c).z;
             crate::params::T_SURFACE_REF + 12.0 - 35.0 * sinlat * sinlat

@@ -60,6 +60,8 @@ pub struct CoupledEsm {
     pub(crate) pending_to_slow: FluxSet,
     /// grid cell -> land-local index (-1 over ocean).
     land_pos: Vec<i64>,
+    /// Shortwave forcing at the cell centers.
+    insolation: solar::Insolation,
     pub(crate) windows_run: u64,
     /// Window record/replay state (see [`crate::replay`]): records the
     /// first coupled window into an arena, replays later windows with
@@ -105,6 +107,7 @@ impl CoupledEsm {
             &mask.bathymetry,
         );
         let hamocc = Hamocc::new(&ocean);
+        let insolation = solar::Insolation::new(&grid.cell_center);
 
         let mut esm = CoupledEsm {
             cfg,
@@ -119,6 +122,7 @@ impl CoupledEsm {
             pending_to_fast: FluxSet::new(),
             pending_to_slow: FluxSet::new(),
             land_pos,
+            insolation,
             windows_run: 0,
             replay: ReplayState::default(),
         };
@@ -191,6 +195,7 @@ impl CoupledEsm {
             atm: &mut self.atm,
             land: &mut self.land,
             land_pos: &self.land_pos,
+            insolation: &mut self.insolation,
             ocean_water_received_kg: &mut self.ocean_water_received_kg,
             replay: &mut self.replay,
             wall_s: &mut self.timers.atm_land_s,
@@ -343,6 +348,7 @@ struct FastSide<'a> {
     atm: &'a mut Atmosphere<Grid>,
     land: &'a mut LandModel<Grid>,
     land_pos: &'a [i64],
+    insolation: &'a mut solar::Insolation,
     ocean_water_received_kg: &'a mut f64,
     replay: &'a mut ReplayState,
     wall_s: &'a mut f64,
@@ -361,6 +367,7 @@ impl FastSide<'_> {
                 self.land,
                 self.grid,
                 self.land_pos,
+                self.insolation,
                 self.cfg,
                 window,
                 incoming,
@@ -403,6 +410,7 @@ fn fast_window(
     land: &mut LandModel<Grid>,
     g: &Grid,
     land_pos: &[i64],
+    insolation: &mut solar::Insolation,
     cfg: &EsmConfig,
     window: u64,
     incoming: &FluxSet,
@@ -437,10 +445,11 @@ fn fast_window(
     arena.reset();
     for s in 0..steps {
         let t = window_t0 + s as f64 * dt;
+        let sw = insolation.at(t);
         // Land forcing from the current atmosphere state and the sun.
         for (i, &gc) in land.cells.iter().enumerate() {
             let gc = gc as usize;
-            land.state.sw_down[i] = solar::sw_down(&g.cell_center[gc], t);
+            land.state.sw_down[i] = sw[gc];
             land.state.precip_rate[i] = atm.state.precip_rate[gc] * 1e-3; // kg/m^2/s -> m/s
             land.state.t_air[i] = t_air_k(atm, g, gc) - 273.15;
         }
@@ -460,7 +469,7 @@ fn fast_window(
                 arena.precip_ocean_m[c] += atm.state.precip_rate[c] * dt * 1e-3;
                 arena.evap_ocean_m[c] += atm.state.evap_rate[c] * dt * 1e-3;
             }
-            arena.sw_sum[c] += solar::sw_down(&g.cell_center[c], t);
+            arena.sw_sum[c] += sw[c];
         }
     }
 

@@ -14,11 +14,45 @@ pub const TRANSMISSION: f64 = 0.75;
 /// simulated time `t` (s). Declination 0 (equinox): the subsolar point
 /// circles the equator once per day starting at longitude 0.
 pub fn sw_down(p: &Vec3, time_s: f64) -> f64 {
-    let lon = p.y.atan2(p.x);
-    let lat = p.z.asin();
+    let (lon, cos_lat) = lon_cos_lat(p);
+    sw_at(lon, cos_lat, time_s)
+}
+
+/// The time-independent part of [`sw_down`]: longitude and cos(latitude).
+fn lon_cos_lat(p: &Vec3) -> (f64, f64) {
+    (p.y.atan2(p.x), p.z.asin().cos())
+}
+
+fn sw_at(lon: f64, cos_lat: f64, time_s: f64) -> f64 {
     let hour_angle = 2.0 * std::f64::consts::PI * (time_s / 86_400.0) - lon;
-    let cos_zenith = lat.cos() * hour_angle.cos();
+    let cos_zenith = cos_lat * hour_angle.cos();
     SOLAR_CONSTANT * TRANSMISSION * cos_zenith.max(0.0)
+}
+
+/// [`sw_down`] over a fixed set of positions, with each position's
+/// longitude and cos(latitude) computed once at construction: the same
+/// operations on the same operands, so the same bits.
+#[derive(Debug, Clone)]
+pub struct Insolation {
+    lon_cos_lat: Vec<(f64, f64)>,
+    sw: Vec<f64>,
+}
+
+impl Insolation {
+    pub fn new(points: &[Vec3]) -> Insolation {
+        Insolation {
+            lon_cos_lat: points.iter().map(lon_cos_lat).collect(),
+            sw: vec![0.0; points.len()],
+        }
+    }
+
+    /// Downward shortwave at every position at `time_s`.
+    pub fn at(&mut self, time_s: f64) -> &[f64] {
+        for (sw, &(lon, cos_lat)) in self.sw.iter_mut().zip(&self.lon_cos_lat) {
+            *sw = sw_at(lon, cos_lat, time_s);
+        }
+        &self.sw
+    }
 }
 
 /// Daily-mean shortwave at latitude (radians), equinox: `S T cos(lat)/pi`.

@@ -70,11 +70,20 @@ impl Default for BioParams {
     }
 }
 
+impl BioParams {
+    /// Fraction of the surface light reaching each mid-layer depth:
+    /// `exp(-k_light * depth_mid[k])`, a per-level table.
+    pub fn light_attenuation(&self, depth_mid: &[f64]) -> Vec<f64> {
+        depth_mid.iter().map(|&d| (-self.k_light * d).exp()).collect()
+    }
+}
+
 /// Apply one step of ecosystem dynamics to a single column.
 ///
 /// `tr` holds the 19 tracer columns (`tr[tracer][level]` layout as
 /// mutable slices), `sw_surface` the surface shortwave (W/m^2),
-/// `depth_mid[k]` the mid-layer depths, `n_active` the wet levels.
+/// `depth_mid[k]` the mid-layer depths, `light_atten` their
+/// [`BioParams::light_attenuation`], `n_active` the wet levels.
 /// Returns the column's net primary production (kmol P/m^2/s-equivalent
 /// summed over levels * dz implied by caller) for diagnostics.
 #[allow(clippy::too_many_arguments)]
@@ -83,6 +92,7 @@ pub fn ecosystem_column(
     tr: &mut [&mut [f64]; N_TRACERS],
     dz: &[f64],
     depth_mid: &[f64],
+    light_atten: &[f64],
     n_active: usize,
     sw_surface: f64,
     dt: f64,
@@ -90,7 +100,7 @@ pub fn ecosystem_column(
     use Tracer::*;
     let mut npp_total = 0.0;
     for k in 0..n_active {
-        let par = sw_surface * 0.43 * (-p.k_light * depth_mid[k]).exp();
+        let par = sw_surface * 0.43 * light_atten[k];
         let light_lim = par / (par + p.k_par);
 
         let phy = tr[Phytoplankton.idx()][k];
@@ -237,11 +247,12 @@ mod tests {
     ) -> f64 {
         let mut npp = 0.0;
         let p = BioParams::default();
+        let atten = p.light_attenuation(depth);
         for _ in 0..steps {
             let mut refs: Vec<&mut [f64]> = tr.iter_mut().map(|v| v.as_mut_slice()).collect();
             let arr: &mut [&mut [f64]; N_TRACERS] =
                 refs.as_mut_slice().try_into().expect("19 tracers");
-            npp += ecosystem_column(&p, arr, dz, depth, dz.len(), sw, 600.0);
+            npp += ecosystem_column(&p, arr, dz, depth, &atten, dz.len(), sw, 600.0);
         }
         npp
     }

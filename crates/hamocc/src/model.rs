@@ -41,6 +41,8 @@ pub struct Hamocc<G: CGrid> {
     pub pco2_atm: Field2,
     tracer_old: Field3,
     depth_mid: Vec<f64>,
+    /// `bio.light_attenuation(depth_mid)`, tabled at construction.
+    light_atten: Vec<f64>,
     steps_taken: u64,
 }
 
@@ -71,9 +73,11 @@ impl<G: CGrid> Hamocc<G> {
                 })
             })
             .collect();
+        let bio = BioParams::default();
+        let light_atten = bio.light_attenuation(&depth_mid);
         Hamocc {
             grid,
-            bio: BioParams::default(),
+            bio,
             tracers,
             sediment_p: Field2::zeros(n_cells),
             sediment_c: Field2::zeros(n_cells),
@@ -86,6 +90,7 @@ impl<G: CGrid> Hamocc<G> {
             pco2_atm: Field2::from_fn(n_cells, |_| 420.0),
             tracer_old: Field3::zeros(n_cells, nlev),
             depth_mid,
+            light_atten,
             steps_taken: 0,
         }
     }
@@ -171,6 +176,7 @@ impl<G: CGrid> Hamocc<G> {
         // --- ecosystem dynamics, column-parallel.
         let bio = &self.bio;
         let depth_mid = &self.depth_mid;
+        let light_atten = &self.light_atten;
         let sw = &self.sw_down;
         let npp = &mut self.npp;
         {
@@ -192,7 +198,7 @@ impl<G: CGrid> Hamocc<G> {
                     }
                     let arr: &mut [&mut [f64]; N_TRACERS] =
                         cols.as_mut_slice().try_into().expect("19 tracers");
-                    ecosystem_column(bio, arr, &p.dz, depth_mid, na, sw[c], dt)
+                    ecosystem_column(bio, arr, &p.dz, depth_mid, light_atten, na, sw[c], dt)
                 })
                 .collect();
             for (c, v) in npp_values.into_iter().enumerate() {
@@ -228,6 +234,11 @@ impl<G: CGrid> Hamocc<G> {
 
     pub fn steps_taken(&self) -> u64 {
         self.steps_taken
+    }
+
+    /// Mid-layer depths (m) and their light attenuation factors.
+    pub fn light_levels(&self) -> (&[f64], &[f64]) {
+        (&self.depth_mid, &self.light_atten)
     }
 
     /// Total ocean carbon (kmol C): dissolved + shells + organic matter +

@@ -83,7 +83,7 @@ impl std::ops::IndexMut<usize> for Field2 {
 
 /// A 3-D field: `n` horizontal entities times `nlev` vertical levels,
 /// column-major (levels of one column contiguous).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Field3 {
     data: Vec<f64>,
     n: usize,

@@ -81,6 +81,10 @@ pub struct Grid {
     pub edge_coriolis: Vec<f64>,
     /// Coriolis parameter at vertices (1/s).
     pub vertex_coriolis: Vec<f64>,
+    /// Inverse reconstruction matrix of each cell
+    /// ([`crate::ops::reconstruction_inverse`] of its edge normals and
+    /// center), used by every velocity reconstruction.
+    pub cell_recon_inverse: Vec<[[f64; 3]; 3]>,
 }
 
 /// Planetary rotation rate used for Coriolis terms (Earth, rad/s).
@@ -239,6 +243,13 @@ impl Grid {
             }
         }
 
+        let cell_recon_inverse: Vec<[[f64; 3]; 3]> = (0..n_cells)
+            .map(|c| {
+                let ns = cell_edges[c].map(|e| edge_normal[e as usize]);
+                crate::ops::reconstruction_inverse(&ns, &cell_center[c])
+            })
+            .collect();
+
         Grid {
             bisections,
             radius,
@@ -265,6 +276,7 @@ impl Grid {
             vertex_dual_area,
             edge_coriolis,
             vertex_coriolis,
+            cell_recon_inverse,
         }
     }
 

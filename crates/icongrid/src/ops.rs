@@ -32,6 +32,9 @@ pub trait CGrid: Sync {
     fn vertex_edge_sign(&self, v: usize) -> [f64; 6];
     fn vertex_dual_area(&self, v: usize) -> f64;
     fn vertex_coriolis(&self, v: usize) -> f64;
+    /// Inverse of the cell's reconstruction matrix (see
+    /// [`reconstruction_inverse`]), tabled when the grid is built.
+    fn cell_recon_inverse(&self, c: usize) -> [[f64; 3]; 3];
 }
 
 impl CGrid for Grid {
@@ -106,6 +109,10 @@ impl CGrid for Grid {
     #[inline]
     fn vertex_coriolis(&self, v: usize) -> f64 {
         self.vertex_coriolis[v]
+    }
+    #[inline]
+    fn cell_recon_inverse(&self, c: usize) -> [[f64; 3]; 3] {
+        self.cell_recon_inverse[c]
     }
 }
 
@@ -211,7 +218,8 @@ pub fn kinetic_energy<G: CGrid>(g: &G, vn: &Field3, out: &mut Field3) {
 /// Reconstruct the full tangent-plane velocity vector at each cell center
 /// from the normal components on the cell's three edges, by least squares
 /// (`min_V sum_e (V . n_e - vn_e)^2`, regularized along the radial
-/// direction where the solution is unconstrained).
+/// direction where the solution is unconstrained). The matrix inverse is
+/// geometry only and comes from the grid's table.
 pub fn reconstruct_cell_vectors<G: CGrid>(
     g: &G,
     vn: &Field3,
@@ -230,19 +238,13 @@ pub fn reconstruct_cell_vectors<G: CGrid>(
         .enumerate()
         .for_each(|(c, ((cx, cy), cz))| {
             let edges = g.cell_edges(c);
-            let r = g.cell_center(c);
-            // M = sum n n^T + r r^T (the radial rank-1 term regularizes).
-            let mut m = [[0.0f64; 3]; 3];
-            let ns: Vec<Vec3> = edges.iter().map(|&e| g.edge_normal(e as usize)).collect();
-            for n in &ns {
-                accumulate_outer(&mut m, n);
-            }
-            accumulate_outer(&mut m, &r);
-            let minv = invert3(&m);
+            let ns = edges.map(|e| g.edge_normal(e as usize));
+            let vs = edges.map(|e| vn.col(e as usize));
+            let minv = g.cell_recon_inverse(c);
             for k in 0..nlev {
                 let mut rhs = Vec3::ZERO;
-                for (i, n) in ns.iter().enumerate() {
-                    rhs += n.scale(vn.at(edges[i] as usize, k));
+                for (n, v) in ns.iter().zip(&vs) {
+                    rhs += n.scale(v[k]);
                 }
                 let v = mat_vec(&minv, &rhs);
                 cx[k] = v.x;
@@ -250,6 +252,18 @@ pub fn reconstruct_cell_vectors<G: CGrid>(
                 cz[k] = v.z;
             }
         });
+}
+
+/// Inverse of a cell's reconstruction matrix `M = sum n n^T + r r^T`
+/// over its three edge normals `ns` and its center `r` (the radial
+/// rank-1 term regularizes).
+pub fn reconstruction_inverse(ns: &[Vec3; 3], r: &Vec3) -> [[f64; 3]; 3] {
+    let mut m = [[0.0f64; 3]; 3];
+    for n in ns {
+        accumulate_outer(&mut m, n);
+    }
+    accumulate_outer(&mut m, r);
+    invert3(&m)
 }
 
 #[inline]

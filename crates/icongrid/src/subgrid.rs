@@ -53,6 +53,9 @@ pub struct SubGrid {
     pub edge_coriolis: Vec<f64>,
     pub vertex_dual_area: Vec<f64>,
     pub vertex_coriolis: Vec<f64>,
+    /// The global grid's reconstruction inverses of the local cells (the
+    /// same edge normals and centers, so the same table entries).
+    pub cell_recon_inverse: Vec<[[f64; 3]; 3]>,
 
     /// Exchange plans in local numbering (from the decomposition).
     pub cell_exchange: ExchangePlan,
@@ -98,6 +101,7 @@ impl SubGrid {
         let mut cell_neighbors = Vec::with_capacity(n_cells);
         let mut cell_center = Vec::with_capacity(n_cells);
         let mut cell_area = Vec::with_capacity(n_cells);
+        let mut cell_recon_inverse = Vec::with_capacity(n_cells);
         for (lc, &gc) in cell_l2g.iter().enumerate() {
             let gc = gc as usize;
             let mut ce = [0u32; 3];
@@ -114,6 +118,7 @@ impl SubGrid {
             cell_neighbors.push(cn);
             cell_center.push(grid.cell_center[gc]);
             cell_area.push(grid.cell_area[gc]);
+            cell_recon_inverse.push(grid.cell_recon_inverse[gc]);
         }
 
         let mut edge_cells = Vec::with_capacity(n_edges);
@@ -197,6 +202,7 @@ impl SubGrid {
             edge_coriolis,
             vertex_dual_area,
             vertex_coriolis,
+            cell_recon_inverse,
             cell_exchange: layout.cell_exchange.clone(),
             edge_exchange: layout.edge_exchange.clone(),
         }
@@ -289,6 +295,10 @@ impl CGrid for SubGrid {
     #[inline]
     fn vertex_coriolis(&self, v: usize) -> f64 {
         self.vertex_coriolis[v]
+    }
+    #[inline]
+    fn cell_recon_inverse(&self, c: usize) -> [[f64; 3]; 3] {
+        self.cell_recon_inverse[c]
     }
 }
 

@@ -26,6 +26,18 @@ pub struct LandModel<G: CGrid> {
     pub discharge_m3: Vec<f64>,
     runoff_m: Vec<f64>,
     runoff_m3: Vec<f64>,
+    /// Per-step scratch, sized once: precipitation (m), cell GPP and
+    /// respiration (kgC/m^2), one PFT's GPP.
+    precip_m: Vec<f64>,
+    gpp_cell: Vec<f64>,
+    resp_cell: Vec<f64>,
+    gpp_pft: Vec<f64>,
+    /// This step's Q10 respiration factors per land cell, at the air
+    /// temperature (autotrophic) and at the top-soil temperature (decay).
+    /// No kernel of the PFT loop changes either temperature, so they are
+    /// filled once per step instead of once per (cell, PFT, pool).
+    q10_air: Vec<f64>,
+    q10_soil: Vec<f64>,
     steps_taken: u64,
 }
 
@@ -58,12 +70,24 @@ impl<G: CGrid> LandModel<G> {
             discharge_m3: vec![0.0; n_grid],
             runoff_m: vec![0.0; n],
             runoff_m3: vec![0.0; n],
+            precip_m: vec![0.0; n],
+            gpp_cell: vec![0.0; n],
+            resp_cell: vec![0.0; n],
+            gpp_pft: vec![0.0; n],
+            q10_air: vec![0.0; n],
+            q10_soil: vec![0.0; n],
             steps_taken: 0,
         }
     }
 
     pub fn n_land_cells(&self) -> usize {
         self.cells.len()
+    }
+
+    /// The Q10 factors of the last step per land cell: (air temperature,
+    /// top-soil temperature).
+    pub fn q10_tables(&self) -> (&[f64], &[f64]) {
+        (&self.q10_air, &self.q10_soil)
     }
 
     /// Advance one land step (called every atmosphere step, §5.1).
@@ -81,24 +105,37 @@ impl<G: CGrid> LandModel<G> {
 
         self.recorder.launch("infiltration_runoff");
         // Precipitation forcing is in m/s of water.
-        let precip_m: Vec<f64> = self.state.precip_rate.iter().map(|&r| r * dt).collect();
-        soil::hydrology_step(p, &mut self.state.w_liquid, &precip_m, &mut self.runoff_m);
+        let precip_m = &mut self.precip_m;
+        for (pm, &r) in precip_m.iter_mut().zip(&self.state.precip_rate) {
+            *pm = r * dt;
+        }
+        soil::hydrology_step(p, &mut self.state.w_liquid, precip_m, &mut self.runoff_m);
         for (i, &pm) in precip_m.iter().enumerate().take(n) {
             self.state.precip_acc[i] += pm;
             self.state.runoff_acc[i] += self.runoff_m[i];
         }
 
+        // Q10 factors of this step: the PFT loop reads t_air and the top
+        // soil level but never writes them.
+        for i in 0..n {
+            self.q10_air[i] = p.q10.powf((self.state.t_air[i] - p.t_resp_ref) / 10.0);
+            self.q10_soil[i] = p.q10.powf((self.state.t_soil.at(i, 0) - p.t_resp_ref) / 10.0);
+        }
+
         // ----- vegetation: many small kernels, one per (process, PFT) ---
         // Mirrors §5.1: "the JSBach model implementation operating on
         // multiple independent plant functional types".
-        let mut gpp_cell = vec![0.0; n]; // kgC/m^2 this step
-        let mut resp_cell = vec![0.0; n]; // autotrophic + heterotrophic
+        let gpp_cell = &mut self.gpp_cell; // kgC/m^2 this step
+        let resp_cell = &mut self.resp_cell; // autotrophic + heterotrophic
+        let gpp_pft = &mut self.gpp_pft;
+        gpp_cell.fill(0.0);
+        resp_cell.fill(0.0);
         for pft in 0..N_PFT {
             let traits = &PFT_TABLE[pft];
 
             self.recorder.launch("canopy_light");
             self.recorder.launch("gpp");
-            let mut gpp_pft = vec![0.0; n];
+            gpp_pft.fill(0.0);
             {
                 let state = &self.state;
                 let pft_frac = &self.pft_frac;
@@ -123,8 +160,7 @@ impl<G: CGrid> LandModel<G> {
                 if self.pft_frac[i][pft] <= 0.001 {
                     continue;
                 }
-                let t = self.state.t_air[i];
-                let q10 = p.q10.powf((t - p.t_resp_ref) / 10.0);
+                let q10 = self.q10_air[i];
                 let live: f64 = crate::pools::LIVE_POOLS
                     .iter()
                     .map(|&pl| self.state.pool(i, pft, pl))
@@ -187,8 +223,7 @@ impl<G: CGrid> LandModel<G> {
                     if self.pft_frac[i][pft] <= 0.001 {
                         continue;
                     }
-                    let t = self.state.t_soil.at(i, 0);
-                    let q10 = p.q10.powf((t - p.t_resp_ref) / 10.0);
+                    let q10 = self.q10_soil[i];
                     let d = self.state.pool(i, pft, pl) * (dt / tau * q10).min(1.0);
                     *self.state.pool_mut(i, pft, pl) -= d;
                     match target {

@@ -254,22 +254,19 @@ where
 
     if n_tasks <= 1 || width <= 1 {
         // Sequential drive over the same task boundaries: identical
-        // per-task results, identical combination order.
+        // per-task results, identical combination order. One guard and
+        // one clock reading for the whole drive, not per task.
         let parts = if n_tasks <= 1 {
             vec![it]
         } else {
             split_parts(it, &ranges)
         };
-        let mut out = Vec::with_capacity(parts.len());
-        for part in parts {
-            let _g = PoolGuard::enter();
-            let t0 = Instant::now();
-            let r = run(part);
-            if !nested {
-                let ns = t0.elapsed().as_nanos() as u64;
-                DRIVE_BUSY_NS.with(|c| c.set(c.get() + ns));
-            }
-            out.push(r);
+        let _g = PoolGuard::enter();
+        let t0 = (!nested).then(Instant::now);
+        let out: Vec<R> = parts.into_iter().map(&run).collect();
+        if let Some(t0) = t0 {
+            let ns = t0.elapsed().as_nanos() as u64;
+            DRIVE_BUSY_NS.with(|c| c.set(c.get() + ns));
         }
         return out;
     }

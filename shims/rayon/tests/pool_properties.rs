@@ -200,3 +200,32 @@ fn width_one_uses_the_sequential_path() {
         "width 1 must not spawn workers"
     );
 }
+
+/// A width-1 drive is timed once for the whole drive (not per task), and
+/// still credits its task time to the initiating thread's busy clock;
+/// every task body still runs marked as pool work.
+#[test]
+fn width_one_drives_advance_thread_busy_s() {
+    let _guard = WIDTH_LOCK.lock().unwrap();
+    set_width(1);
+
+    let v: Vec<f64> = (0..4_096).map(|i| i as f64).collect();
+    let busy_before = rayon::thread_busy_s();
+    let mut last = busy_before;
+    for _ in 0..8 {
+        let s: f64 = v
+            .par_iter()
+            .map(|&x| {
+                assert!(rayon::in_pool_worker(), "task body not marked as pool work");
+                // Enough work per task that the drive spans clock ticks.
+                (0..64).fold(x, |acc, i| acc + (i as f64).sqrt() * 1e-12)
+            })
+            .sum();
+        assert!(s > 0.0);
+        let now = rayon::thread_busy_s();
+        assert!(now >= last, "busy seconds must never go back");
+        last = now;
+    }
+    assert!(last > busy_before, "width-1 drives must advance thread_busy_s");
+    assert!(!rayon::in_pool_worker(), "the guard is released after the drive");
+}
