@@ -137,8 +137,14 @@ impl<Gr: CGrid> Ocean<Gr> {
                         col[k] = 0.0;
                         continue;
                     }
-                    let zeta_e = 0.5 * (z0[k] + z1[k]);
-                    let mut v = vn[k] + dt * (-gp[k] + (f_e + zeta_e) * vte[k]);
+                    // Coriolis and vorticity turn the edge's (vn, vt)
+                    // pair; the trapezoidal rule makes that turn neutral,
+                    // where forward Euler grows it by sqrt(1 + (f dt)^2)
+                    // every step (an e-fold per ~60 steps at the pole at
+                    // dt = 1200 s).
+                    let a = 0.5 * dt * (f_e + 0.5 * (z0[k] + z1[k]));
+                    let turn = 2.0 * a * (vte[k] - a * vn[k]) / (1.0 + a * a);
+                    let mut v = vn[k] - dt * gp[k] + turn;
                     if k == 0 {
                         v += dt * state.wind_stress_n[e] / (RHO0 * dz0);
                     }
