@@ -136,75 +136,58 @@ impl<G: CGrid> Hamocc<G> {
             );
         }
 
-        // --- particle sinking with burial at the sea floor.
-        for t in Tracer::ALL {
-            let ws = t.sinking_speed();
-            if ws == 0.0 {
-                continue;
-            }
-            let (sed_kind, factor) = match t {
-                Tracer::Detritus => (0, 1.0),
-                Tracer::Calcite => (1, 1.0),
-                Tracer::Opal => (2, 1.0),
-                _ => (3, 0.0), // dust: buried but not tracked in budgets
-            };
-            let field = &mut self.tracers[t.idx()];
-            for c in 0..n_cells {
-                let na = mask.cell_levels[c] as usize;
-                if na == 0 {
-                    continue;
-                }
-                let col = field.col_mut(c);
-                // Downward upwind transport between layers.
-                let mut flux_in = 0.0; // from above
-                for (k, ck) in col.iter_mut().enumerate().take(na) {
-                    // Amount leaving downward this step (units * m).
-                    let out = (ws * dt / p.dz[k]).min(1.0) * *ck * p.dz[k];
-                    *ck += (flux_in - out) / p.dz[k];
-                    flux_in = out;
-                }
-                // flux_in now exits the column floor: burial.
-                match sed_kind {
-                    0 => self.sediment_p[c] += flux_in * factor,
-                    1 => self.sediment_c[c] += flux_in * factor,
-                    2 => self.sediment_si[c] += flux_in * factor,
-                    _ => {}
-                }
-            }
-        }
-
-        // --- ecosystem dynamics, column-parallel.
+        // --- particle sinking with burial at the sea floor, then the
+        // ecosystem: one column-parallel drive. Per cell the four sinking
+        // tracers go down in `Tracer::ALL` order before the ecosystem runs.
         let bio = &self.bio;
         let depth_mid = &self.depth_mid;
         let light_atten = &self.light_atten;
         let sw = &self.sw_down;
-        let npp = &mut self.npp;
-        {
-            // Group the 19 tracer columns per cell for simultaneous access.
-            let mut per_cell: Vec<Vec<&mut [f64]>> =
-                (0..n_cells).map(|_| Vec::with_capacity(N_TRACERS)).collect();
-            for f in self.tracers.iter_mut() {
-                for (c, col) in f.chunks_mut().enumerate() {
-                    per_cell[c].push(col);
-                }
-            }
-            let npp_values: Vec<f64> = per_cell
-                .par_iter_mut()
-                .enumerate()
-                .map(|(c, cols)| {
-                    let na = mask.cell_levels[c] as usize;
-                    if na == 0 {
-                        return 0.0;
-                    }
-                    let arr: &mut [&mut [f64]; N_TRACERS] =
-                        cols.as_mut_slice().try_into().expect("19 tracers");
-                    ecosystem_column(bio, arr, &p.dz, depth_mid, light_atten, na, sw[c], dt)
-                })
-                .collect();
-            for (c, v) in npp_values.into_iter().enumerate() {
-                npp[c] = v;
+        // The 19 tracer columns of each cell, cell after cell.
+        let mut cols: Vec<&mut [f64]> = Vec::with_capacity(n_cells * N_TRACERS);
+        let mut per_tracer: Vec<_> = self.tracers.iter_mut().map(|f| f.chunks_mut()).collect();
+        for _ in 0..n_cells {
+            for it in per_tracer.iter_mut() {
+                cols.push(it.next().expect("one column per cell"));
             }
         }
+        cols.par_chunks_mut(N_TRACERS)
+            .zip(self.npp.as_mut_slice().par_iter_mut())
+            .zip(self.sediment_p.as_mut_slice().par_iter_mut())
+            .zip(self.sediment_c.as_mut_slice().par_iter_mut())
+            .zip(self.sediment_si.as_mut_slice().par_iter_mut())
+            .enumerate()
+            .for_each(|(c, ((((cols, npp), sed_p), sed_c), sed_si))| {
+                let na = mask.cell_levels[c] as usize;
+                if na == 0 {
+                    *npp = 0.0;
+                    return;
+                }
+                let cols: &mut [&mut [f64]; N_TRACERS] = cols.try_into().expect("19 tracers");
+                for t in Tracer::ALL {
+                    let ws = t.sinking_speed();
+                    if ws == 0.0 {
+                        continue;
+                    }
+                    // Downward upwind transport between layers.
+                    let mut flux_in = 0.0; // from above
+                    for (k, ck) in cols[t.idx()].iter_mut().enumerate().take(na) {
+                        // Amount leaving downward this step (units * m).
+                        let out = (ws * dt / p.dz[k]).min(1.0) * *ck * p.dz[k];
+                        *ck += (flux_in - out) / p.dz[k];
+                        flux_in = out;
+                    }
+                    // flux_in now exits the column floor: burial (dust is
+                    // buried but not tracked in budgets).
+                    match t {
+                        Tracer::Detritus => *sed_p += flux_in,
+                        Tracer::Calcite => *sed_c += flux_in,
+                        Tracer::Opal => *sed_si += flux_in,
+                        _ => {}
+                    }
+                }
+                *npp = ecosystem_column(bio, cols, &p.dz, depth_mid, light_atten, na, sw[c], dt);
+            });
 
         // --- air-sea CO2 exchange and O2 ventilation at the surface.
         for c in 0..n_cells {
