@@ -12,15 +12,18 @@
 //!   on the Grace CPUs);
 //! * [`state`] — the one ordered table of model-state buffers behind
 //!   snapshots, restores, SDC injection and the per-side health probe;
-//! * [`resilience`] — fault-absorbing driver loop: checkpoint ring,
-//!   distributed blow-up guard over fault-injectable `mpisim` messages,
-//!   and rollback-replay (`run_windows_resilient`);
+//! * [`resilience`] — fault-absorbing driver loop: distributed blow-up
+//!   guard over fault-injectable `mpisim` messages, SDC audit, and
+//!   global rollback-replay (`run_windows_resilient`);
 //! * [`health`] — per-component heartbeats and the deadline-based
 //!   failure detector (missed-beat accrual);
 //! * [`supervisor`] — degraded-mode coupling and localized rank
 //!   recovery (`run_windows_supervised`): a failed component group
 //!   respawns from its own checkpoint ring and replays while the healthy
 //!   group continues on persisted fluxes;
+//! * `recovery` (crate-private) — what both fault-tolerant drivers
+//!   share: checkpoint rings and bases, restore with fallback, the SDC
+//!   screen, round accounting and the report finish;
 //! * [`rounds`] — the drivers' communication rounds (guard round,
 //!   heartbeat, coupler halo exchange) explored as the code that runs
 //!   them, fault-free and under every single fault (`mpisim::explore`,
@@ -39,6 +42,7 @@ pub mod config;
 pub mod esm;
 pub mod fluxspec;
 pub mod health;
+mod recovery;
 pub mod replay;
 pub mod resilience;
 pub mod rounds;
@@ -56,5 +60,6 @@ pub use replay::{ReplayConfig, ReplayState, WindowReplayStats};
 pub use resilience::{EsmError, ResilienceConfig, ResilienceReport};
 pub use rounds::{explore_rounds, ExploredRound};
 pub use sdc::{FlipTarget, QuiescenceReference, SdcInjection, SdcMode, StateFaultPlan};
-pub use supervisor::{Side, SupervisorConfig};
+pub use state::Side;
+pub use supervisor::SupervisorConfig;
 pub use timers::Timers;

@@ -1,49 +1,42 @@
-//! Rollback-replay resilience for the coupled driver.
+//! Global rollback-replay for the coupled driver.
 //!
-//! [`CoupledEsm::run_windows_resilient`] wraps the plain window loop in a
-//! fault-absorbing state machine:
+//! [`CoupledEsm::run_windows_resilient`] runs one window at a time and
+//! screens it; any failure rolls *both* component groups back together:
 //!
 //! ```text
-//!           +--------- run 1 window ----------+
-//!           v                                 |
-//!   [STEP] ---> [GUARD] --ok--> checkpoint? --+--> done?
-//!                  |                               |
-//!                  | fail (comm fault, dead rank,  v
-//!                  |       non-finite state)     [DONE]
-//!                  v
-//!              [ROLLBACK] -- restore newest intact generation
-//!                  |         (falling back over corrupt ones)
-//!                  +-------> replay from there; give up after
-//!                            `max_retries_per_window` failures
-//!                            of the same window
+//!   [FLIPS] -> [STEP] -> [GUARD] -> [CHECKSUM] -> [AUDIT?] --ok--> [CKPT?]
+//!                           |            |            |
+//!                           +------------+------------+--> [ROLLBACK]
 //! ```
 //!
-//! The **guard** is a genuinely distributed health check: `guard_ranks`
-//! mpisim rank-threads each scan a shard of the snapshot for non-finite or
-//! out-of-range values and report to rank 0 over fault-injectable
-//! point-to-point messages with [`mpisim::Comm::recv_deadline`]; rank 0
-//! broadcasts the verdict. A dropped partial, a corrupted payload, or a
-//! killed rank therefore surfaces exactly like it would on a cluster — as
-//! a timeout or checksum failure — and triggers rollback, not a hang. A
-//! receive times out only when the guard's world is quiescent (the rule
-//! in [`mpisim::comm`]), so a merely slow rank never causes a rollback.
-//!
-//! Because every model state variable lives in the snapshot (the restart
-//! tests prove bit-exactness) and injected faults are one-shot, a replay
-//! after rollback reproduces the fault-free trajectory bit for bit.
+//! The checkpoint ring (one whole-state ring `restart`), the restore
+//! with fallback, the SDC screen and the report are the recovery core's
+//! (`crate::recovery`); this module keeps its own detectors and its
+//! replay. The **guard** is a genuinely distributed health check:
+//! `guard_ranks` mpisim rank-threads each scan a shard of the snapshot
+//! for non-finite or out-of-range values and report to rank 0 over
+//! fault-injectable messages with [`mpisim::Comm::recv_deadline`]; rank
+//! 0 broadcasts the verdict, so a dropped partial or a killed rank
+//! surfaces as a timeout, never a hang. The **audit** re-executes the
+//! windows since the last verified state and compares bitwise. After a
+//! **rollback** the loop resumes at the restored base and re-guards,
+//! re-audits and re-checkpoints every window it replays; because every
+//! model state variable lives in the snapshot and injected faults are
+//! one-shot, the replay reproduces the fault-free trajectory bit for
+//! bit. One window failing `max_retries_per_window` times is a typed
+//! [`EsmError`].
 
 use crate::esm::CoupledEsm;
 use crate::health::{HealthError, HealthEvent};
-use crate::replay::WindowReplayStats;
-use crate::sdc::{self, QuiescenceReference, StateFaultPlan};
-use crate::state;
-use crate::supervisor::Side;
+use crate::recovery::{CheckpointPolicy, Detector, Recovery};
+use crate::sdc::StateFaultPlan;
+use crate::state::{self, Side};
 use coupler::{FluxError, QuarantineEvent};
 use iosys::{
-    CheckpointRing, FullPolicy, OutputPolicy, OutputRequest, OutputServer, RealFs, Reduction,
-    RestartError, RetryPolicy, Snapshot, Storage,
+    FullPolicy, OutputPolicy, OutputRequest, OutputServer, RealFs, Reduction, RestartError,
+    RetryPolicy, Snapshot, Storage,
 };
-use mpisim::{CommError, FaultPlan, ProtoCode, World};
+use mpisim::{CommError, FaultPlan, World};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -127,8 +120,9 @@ pub enum EsmError {
     /// Checkpoint write/read failed beyond repair (including every
     /// generation being corrupt).
     Restart(RestartError),
-    /// A guard communication failed and retries were exhausted — kept for
-    /// reporting inside [`EsmError::TooManyRetries`] chains.
+    /// A guard communication failure (a lost, corrupted or undelivered
+    /// message, or the timeouts a dead rank leaves) persisted past
+    /// `max_retries_per_window` rollbacks of the same window.
     Comm { window: u64, error: CommError },
     /// The state went non-finite or out of range and replay reproduced it
     /// (a genuine numerical blow-up, not a transient fault).
@@ -256,8 +250,7 @@ pub struct ResilienceReport {
     /// suspicion-triggered).
     pub audit_replays: u64,
     /// Communication rounds (guard rounds, heartbeat rounds) whose
-    /// per-rank traces went through the exit check (see
-    /// [`ResilienceReport::absorb_round`]).
+    /// per-rank traces went through the exit check.
     pub protocol_rounds: u64,
     /// Trace events the exit check covered across those rounds.
     pub protocol_ops_matched: u64,
@@ -265,77 +258,6 @@ pub struct ResilienceReport {
     /// (E0705), or a message left unreceived in a round where no planned
     /// fault fired (E0701). Chaos tests assert this stays empty.
     pub protocol_violations: Vec<String>,
-}
-
-/// The report plumbing both fault-tolerant drivers share.
-impl ResilienceReport {
-    /// The exit check on one live round: fold the world scheduler's
-    /// findings ([`mpisim::RankTrace::findings`]) into the protocol
-    /// counters. Other findings are a fault's degraded mode at work, or
-    /// cannot arise in a round whose receives all have deadlines; the
-    /// rounds themselves are explored fault by fault in
-    /// [`crate::rounds`].
-    pub(crate) fn absorb_round(&mut self, traces: &[mpisim::RankTrace], fault_fired: bool) {
-        self.protocol_rounds += 1;
-        for t in traces {
-            self.protocol_ops_matched += t.events.len() as u64;
-            let violations = t.findings.iter().filter(|d| match d.code {
-                ProtoCode::TagCollision => true,
-                ProtoCode::UnmatchedSend => !fault_fired,
-                _ => false,
-            });
-            self.protocol_violations.extend(violations.map(|d| d.to_string()));
-        }
-    }
-
-    /// Record what the window record/replay layer did during the run:
-    /// its lifetime counters now, minus `before` (taken at run start).
-    pub(crate) fn absorb_graph_stats(&mut self, before: WindowReplayStats, now: WindowReplayStats) {
-        self.graph_recordings = now.recorded_windows - before.recorded_windows;
-        self.graph_replays = now.replayed_windows - before.replayed_windows;
-        self.graph_invalidations = now.invalidations - before.invalidations;
-        self.graph_rerecords = now.rerecords - before.rerecords;
-    }
-
-    /// Write one checkpoint generation. A write that fails beyond the
-    /// ring's own retries is a recorded degraded event (`None`), not a
-    /// run killer: the ring still holds the previous intact generation,
-    /// so a later recovery just falls back one further.
-    pub(crate) fn write_generation(
-        &mut self,
-        ring: &mut CheckpointRing,
-        snap: &Snapshot,
-        n_files: usize,
-        what: &str,
-    ) -> Option<u64> {
-        match ring.write(snap, n_files) {
-            Ok(generation) => {
-                self.checkpoints_written += 1;
-                Some(generation)
-            }
-            Err(e) => {
-                self.checkpoint_failures += 1;
-                self.faults_absorbed
-                    .push(format!("{what} checkpoint write failed ({e})"));
-                None
-            }
-        }
-    }
-}
-
-/// Open a checkpoint ring on `storage` (`None`: the real file system)
-/// with the configured write-retry policy.
-pub(crate) fn open_ring(
-    storage: &Option<Arc<dyn Storage>>,
-    dir: &Path,
-    stem: &str,
-    keep_generations: usize,
-    retry: RetryPolicy,
-) -> Result<CheckpointRing, RestartError> {
-    let storage = storage.clone().unwrap_or_else(RealFs::shared);
-    let mut ring = CheckpointRing::new_with(storage, dir, stem, keep_generations)?;
-    ring.set_retry(retry);
-    Ok(ring)
 }
 
 /// Why one guard round failed (internal; mapped onto report strings and
@@ -390,11 +312,6 @@ fn scan_shard(
         }
     }
     [0.0, 0.0, 0.0]
-}
-
-/// Faults `plan` has fired so far; a round in which this grows met one.
-pub(crate) fn faults_fired(plan: Option<&Arc<FaultPlan>>) -> u64 {
-    plan.map_or(0, |p| p.report().total())
 }
 
 /// One distributed guard round over `guard_ranks` mpisim rank-threads:
@@ -487,13 +404,14 @@ pub(crate) fn distributed_guard(
 
 /// One window-level failure: a guard verdict or an SDC detection. All
 /// variants share the rollback-replay path; they differ only in the
-/// report counters they feed and the repair done before rolling back.
+/// report counters they feed.
 #[derive(Debug, Clone)]
 enum WindowFault {
     Guard(GuardFail),
-    /// Quiescence CRC mismatch in these static buffers (repaired from
-    /// the pristine reference before the rollback).
-    Checksum { buffers: Vec<&'static str> },
+    /// Quiescence CRC mismatch in these static buffers, with their
+    /// owning side (repaired from the pristine reference before the
+    /// rollback).
+    Checksum { buffers: Vec<(&'static str, Side)> },
     /// Audit replay diverged from the primary execution at this var.
     Audit { var: String },
 }
@@ -505,7 +423,7 @@ impl std::fmt::Display for WindowFault {
             WindowFault::Checksum { buffers } => {
                 let what: Vec<String> = buffers
                     .iter()
-                    .map(|b| format!("{b} ({} side)", sdc::quiescent_side(b).stem()))
+                    .map(|(b, side)| format!("{b} ({} side)", side.stem()))
                     .collect();
                 write!(f, "quiescent checksum mismatch: {}", what.join(", "))
             }
@@ -548,16 +466,6 @@ fn delta_suspicion(prev: &Snapshot, cur: &Snapshot, frac: f64) -> Option<String>
     None
 }
 
-/// Flip one byte in the first shard file of `generation` (chaos hook).
-fn corrupt_generation_on_disk(dir: &Path, generation: u64) -> Result<(), RestartError> {
-    let path = dir.join(format!("restart.g{generation:04}_000.esmr"));
-    let mut bytes = std::fs::read(&path).map_err(RestartError::Io)?;
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x40;
-    std::fs::write(&path, &bytes).map_err(RestartError::Io)?;
-    Ok(())
-}
-
 impl CoupledEsm {
     /// Run `n_windows` coupling windows with checkpointing, a distributed
     /// blow-up guard, and rollback-replay on any failure. Transient faults
@@ -572,23 +480,20 @@ impl CoupledEsm {
         rcfg: &ResilienceConfig,
         plan: Option<Arc<FaultPlan>>,
     ) -> Result<ResilienceReport, EsmError> {
-        let mut report = ResilienceReport::default();
-        let w0 = self.windows_run();
-        let graph0 = self.replay.stats;
-        let mut ring =
-            open_ring(&rcfg.storage, dir, "restart", KEEP_GENERATIONS, rcfg.checkpoint_retry)?;
-        // Write a generation (a failed write is degraded, not fatal); the
-        // chaos hook may then damage it on disk.
-        let checkpoint = |report: &mut ResilienceReport,
-                          ring: &mut CheckpointRing,
-                          snap: &Snapshot,
-                          what: &str| {
-            let generation = report.write_generation(ring, snap, rcfg.n_files, what);
-            if let Some(g) = generation.filter(|g| rcfg.corrupt_generations.contains(g)) {
-                corrupt_generation_on_disk(dir, g)?;
-            }
-            Ok::<_, RestartError>(generation)
+        // SDC detector state (audit_every > 0). The quiescence reference
+        // and the first verified snapshot are captured before any flip
+        // can fire, so both are pristine by construction.
+        let sdc_on = rcfg.audit_every > 0;
+        let policy = CheckpointPolicy {
+            sides: &[None],
+            n_files: rcfg.n_files,
+            keep: KEEP_GENERATIONS,
+            n_readers: rcfg.n_readers,
+            storage: &rcfg.storage,
+            retry: rcfg.checkpoint_retry,
+            corrupt: &rcfg.corrupt_generations,
         };
+        let mut core = Recovery::open(self, dir, policy, &rcfg.sdc, sdc_on)?;
 
         // Diagnostics ride a shedding output server: they must never
         // block the integration or kill the run.
@@ -604,7 +509,7 @@ impl CoupledEsm {
             ) {
                 Ok(srv) => Some(srv),
                 Err(e) => {
-                    report
+                    core.report
                         .faults_absorbed
                         .push(format!("diagnostics disabled: {e}"));
                     None
@@ -617,24 +522,14 @@ impl CoupledEsm {
         // after a rollback do not produce duplicate records.
         let mut max_posted = 0u64;
 
-        // Generation 1: the starting state, so the very first window can
-        // roll back. Should the write fail, the run just has no rollback
-        // point until the next checkpoint lands.
-        let mut newest_gen = checkpoint(&mut report, &mut ring, &self.snapshot(), "initial")?
-            .unwrap_or(0);
+        // The starting state, so the very first window can roll back.
+        // Should the write fail, the run just has no rollback point until
+        // the next checkpoint lands.
+        core.checkpoint(self, 0, None)?;
 
-        // SDC detector state (audit_every > 0). The quiescence reference
-        // and the first verified snapshot are captured before any flip
-        // can fire, so both are pristine by construction.
-        let sdc_on = rcfg.audit_every > 0;
-        let quiescence = sdc_on.then(|| QuiescenceReference::capture(self));
         let mut verified: Option<Snapshot> = sdc_on.then(|| self.snapshot());
         // Completed-window count `verified` corresponds to (audit span).
         let mut verified_at = 0u64;
-        // Injected flips already explained by a detection + rollback.
-        // A rollback restores a verified generation and repairs the
-        // statics, so one detection neutralizes *every* outstanding flip.
-        let mut sdc_attributed = 0u64;
 
         let mut done = 0u64;
         let mut attempts = 0u32;
@@ -642,35 +537,26 @@ impl CoupledEsm {
             let window = done + 1;
             let checkpoint_due =
                 window.is_multiple_of(rcfg.checkpoint_every) || window == n_windows;
-            if let Some(p) = &rcfg.sdc {
-                sdc::apply_due_flips(self, p, window);
-            }
+            core.fire_flips(self, window);
             let flux_err = |error| EsmError::Flux { window, error };
             self.run_windows(1, concurrent).map_err(flux_err)?;
             let snap = self.snapshot();
 
             // Detector 1: distributed physics guard (per-flux bounds +
-            // global backstop), over fault-injectable messages, with the
-            // exit check on the round's traces.
-            let fired = faults_fired(plan.as_ref());
-            let (verdict, traces) = distributed_guard(&snap, window, rcfg, plan.as_ref());
-            report.absorb_round(&traces, faults_fired(plan.as_ref()) > fired);
+            // global backstop), over fault-injectable messages.
+            let verdict =
+                core.round(plan.as_ref(), || distributed_guard(&snap, window, rcfg, plan.as_ref()));
             let mut fault: Option<WindowFault> = verdict.err().map(WindowFault::Guard);
 
             // Detector 2: quiescence checksums — exact for any flip in a
             // never-written buffer, which the audit replay cannot see
             // (both executions would read the same corrupted static).
-            // Repair from the pristine copy first, so the rollback below
-            // resumes on clean statics.
+            // The screen repairs from the pristine copy first, so the
+            // rollback below resumes on clean statics.
             if fault.is_none() {
-                if let Some(q) = &quiescence {
-                    let dirty = q.verify(self);
-                    if !dirty.is_empty() {
-                        for name in &dirty {
-                            q.repair(self, name);
-                        }
-                        fault = Some(WindowFault::Checksum { buffers: dirty });
-                    }
+                let dirty = core.screen_statics(self);
+                if !dirty.is_empty() {
+                    fault = Some(WindowFault::Checksum { buffers: dirty });
                 }
             }
 
@@ -688,160 +574,98 @@ impl CoupledEsm {
             // state is bitwise equal to `snap`, and `snap` becomes the
             // next verification baseline.
             let mut audit_passed = false;
-            if fault.is_none() && sdc_on {
-                if let Some(base) = &verified {
-                    let scheduled = window.is_multiple_of(rcfg.audit_every);
-                    let suspicion = delta_suspicion(base, &snap, rcfg.delta_frac);
-                    if scheduled || checkpoint_due || suspicion.is_some() {
-                        report.audit_replays += 1;
-                        let span = window - verified_at;
-                        self.restore_same_shape(base);
-                        self.run_windows(span as usize, true).map_err(flux_err)?;
-                        match self.first_bitwise_mismatch(&snap) {
-                            None => audit_passed = true,
-                            Some(var) => fault = Some(WindowFault::Audit { var }),
-                        }
+            if let (None, Some(base)) = (&fault, &verified) {
+                let scheduled = window.is_multiple_of(rcfg.audit_every);
+                let suspicion = delta_suspicion(base, &snap, rcfg.delta_frac);
+                if scheduled || checkpoint_due || suspicion.is_some() {
+                    core.report.audit_replays += 1;
+                    self.restore_same_shape(base);
+                    self.run_windows((window - verified_at) as usize, true)
+                        .map_err(flux_err)?;
+                    match self.first_bitwise_mismatch(&snap) {
+                        None => audit_passed = true,
+                        Some(var) => fault = Some(WindowFault::Audit { var }),
                     }
                 }
             }
 
-            // Attribute detections to the fault plan. A detection with
-            // outstanding injected flips is charged to them (the rollback
-            // neutralizes all of them at once). A checksum or audit
-            // detection *without* one would be a false positive of an
-            // exact detector — counted, and asserted zero in the chaos
-            // tests. An unexplained guard blow-up stays what it always
-            // was: a genuine model failure.
-            if let Some(f) = &fault {
-                let injected = sdc::injected(&rcfg.sdc);
-                let outstanding = injected > sdc_attributed;
-                let mut attribute = |detections: &mut u64| {
-                    *detections += 1;
-                    sdc_attributed = injected;
+            // An unexplained guard blow-up stays what it always was: a
+            // genuine model failure, not an SDC detection.
+            match &fault {
+                Some(WindowFault::Guard(GuardFail::BlowUp { .. })) => core.charge(Detector::Bounds),
+                Some(WindowFault::Checksum { .. }) => core.charge(Detector::Checksum),
+                Some(WindowFault::Audit { .. }) => core.charge(Detector::Audit),
+                Some(WindowFault::Guard(_)) | None => {}
+            }
+
+            let Some(fault) = fault else {
+                done += 1;
+                attempts = 0;
+                // An audited state becomes the baseline at once, so the
+                // old baseline is freed before the checkpoint is encoded.
+                let snap = if audit_passed {
+                    verified_at = done;
+                    &*verified.insert(snap)
+                } else {
+                    &snap
                 };
-                match f {
-                    WindowFault::Guard(GuardFail::BlowUp { .. }) if outstanding => {
-                        attribute(&mut report.sdc_detected_bounds)
-                    }
-                    WindowFault::Guard(_) => {}
-                    WindowFault::Checksum { .. } if outstanding => {
-                        attribute(&mut report.sdc_detected_checksum)
-                    }
-                    WindowFault::Audit { .. } if outstanding => {
-                        attribute(&mut report.sdc_detected_audit)
-                    }
-                    WindowFault::Checksum { .. } | WindowFault::Audit { .. } => {
-                        report.sdc_false_positives += 1
+                if checkpoint_due {
+                    core.checkpoint(self, done, Some(snap))?;
+                }
+                if rcfg.diagnostics_every > 0
+                    && done > max_posted
+                    && done.is_multiple_of(rcfg.diagnostics_every)
+                {
+                    max_posted = done;
+                    if let Some(srv) = &diag {
+                        if let Err(e) = srv.post(window_means(snap, done)) {
+                            core.report
+                                .faults_absorbed
+                                .push(format!("window {done}: diagnostics lost ({e})"));
+                            diag = None;
+                        }
                     }
                 }
-            }
+                continue;
+            };
 
-            match fault {
-                None => {
-                    done += 1;
-                    attempts = 0;
-                    // An audited state becomes the baseline at once, so
-                    // the old baseline is freed before the checkpoint is
-                    // encoded.
-                    let snap = if audit_passed {
-                        verified_at = done;
-                        &*verified.insert(snap)
-                    } else {
-                        &snap
-                    };
-                    if checkpoint_due {
-                        let what = format!("window {done}:");
-                        if let Some(g) = checkpoint(&mut report, &mut ring, snap, &what)? {
-                            newest_gen = g;
-                        }
-                    }
-                    if rcfg.diagnostics_every > 0
-                        && done > max_posted
-                        && done.is_multiple_of(rcfg.diagnostics_every)
-                    {
-                        max_posted = done;
-                        if let Some(srv) = &diag {
-                            let means: Vec<f64> = snap
-                                .vars
-                                .iter()
-                                .map(|(_, d)| {
-                                    if d.is_empty() {
-                                        0.0
-                                    } else {
-                                        d.iter().sum::<f64>() / d.len() as f64
-                                    }
-                                })
-                                .collect();
-                            if let Err(e) = srv.post(OutputRequest {
-                                name: "window_means",
-                                time_s: done as f64,
-                                data: means,
-                                reduction: Reduction::Instantaneous,
-                            }) {
-                                report
-                                    .faults_absorbed
-                                    .push(format!("window {done}: diagnostics lost ({e})"));
-                                diag = None;
-                            }
-                        }
-                    }
-                }
-                Some(fault) => {
-                    report.rollbacks += 1;
-                    report.faults_absorbed.push(format!("window {window}: {fault}"));
-                    attempts += 1;
-                    if attempts > rcfg.max_retries_per_window {
-                        return Err(match fault {
-                            WindowFault::Guard(GuardFail::BlowUp { var_idx, value }) => {
-                                EsmError::BlowUp {
-                                    window,
-                                    var: snap
-                                        .vars
-                                        .get(var_idx)
-                                        .map(|(n, _)| n.clone())
-                                        .unwrap_or_else(|| format!("#{var_idx}")),
-                                    value,
-                                }
-                            }
-                            WindowFault::Guard(GuardFail::Comm(error)) => {
-                                EsmError::Comm { window, error }
-                            }
-                            other => EsmError::TooManyRetries {
-                                window,
-                                attempts,
-                                last: other.to_string(),
-                            },
-                        });
-                    }
-                    // Roll back to the newest generation that reads back
-                    // intact; torn or bit-flipped generations are skipped.
-                    // Both held copies are dead by now: free them before
-                    // the restored snapshot is allocated.
-                    drop(snap);
-                    verified = None;
-                    let (g, good) = ring.read_latest_intact(rcfg.n_readers)?;
-                    if g != newest_gen {
-                        report.generation_fallbacks += 1;
-                        newest_gen = g;
-                    }
-                    self.restore(&good);
-                    let resumed = self.windows_run() - w0;
-                    report.replayed_windows += done - resumed;
-                    done = resumed;
-                    // Checkpoint generations are audited before they are
-                    // written, so the restored state is itself verified.
-                    if sdc_on {
-                        verified_at = done;
-                        verified = Some(good);
-                    }
-                }
+            core.report.rollbacks += 1;
+            core.report.faults_absorbed.push(format!("window {window}: {fault}"));
+            attempts += 1;
+            if attempts > rcfg.max_retries_per_window {
+                return Err(match fault {
+                    WindowFault::Guard(GuardFail::BlowUp { var_idx, value }) => EsmError::BlowUp {
+                        window,
+                        var: snap
+                            .vars
+                            .get(var_idx)
+                            .map(|(n, _)| n.clone())
+                            .unwrap_or_else(|| format!("#{var_idx}")),
+                        value,
+                    },
+                    WindowFault::Guard(GuardFail::Comm(error)) => EsmError::Comm { window, error },
+                    other => EsmError::TooManyRetries {
+                        window,
+                        attempts,
+                        last: other.to_string(),
+                    },
+                });
+            }
+            // Both held copies are dead by now: free them before the
+            // restored snapshot is allocated.
+            drop(snap);
+            verified = None;
+            let (base, mut snaps) = core.restore(self, done)?;
+            core.report.replayed_windows += done - base.completed;
+            done = base.completed;
+            // Checkpoints are audited before they are written, so the
+            // restored state is itself verified.
+            if sdc_on {
+                verified_at = done;
+                verified = snaps.pop();
             }
         }
-        report.windows_run = done;
-        report.final_generation = newest_gen;
-        report.checkpoint_retries = ring.io_retries();
-        report.sdc_injected = sdc::injected(&rcfg.sdc);
-        report.absorb_graph_stats(graph0, self.replay.stats);
+        let mut report = core.finish(self, done);
         if let Some(srv) = diag {
             match srv.finish() {
                 Ok(stats) => {
@@ -858,6 +682,23 @@ impl CoupledEsm {
             }
         }
         Ok(report)
+    }
+}
+
+/// The per-variable means posted as diagnostics after window `done`.
+fn window_means(snap: &Snapshot, done: u64) -> OutputRequest {
+    let mean = |d: &[f64]| {
+        if d.is_empty() {
+            0.0
+        } else {
+            d.iter().sum::<f64>() / d.len() as f64
+        }
+    };
+    OutputRequest {
+        name: "window_means",
+        time_s: done as f64,
+        data: snap.vars.iter().map(|(_, d)| mean(d)).collect(),
+        reduction: Reduction::Instantaneous,
     }
 }
 

@@ -34,8 +34,7 @@
 //! machinery absorbs bit-exactly.
 
 use crate::esm::CoupledEsm;
-use crate::state::QUIESCENT_VARS;
-use crate::supervisor::Side;
+use crate::state::{Side, QUIESCENT_VARS};
 use mpisim::Splitmix64;
 use std::sync::{Arc, Mutex};
 
@@ -299,8 +298,8 @@ pub fn crc_f64(data: &[f64]) -> u32 {
     h.finalize()
 }
 
-/// Which component group owns a static buffer (for per-side corruption
-/// localization in the supervisor).
+/// Which component group owns a static buffer (the side a checksum
+/// detection is localized to).
 pub fn quiescent_side(name: &str) -> Side {
     let row = QUIESCENT_VARS.iter().find(|v| v.name == name);
     row.and_then(|v| v.side).unwrap_or(Side::Fast)
@@ -340,15 +339,6 @@ impl QuiescenceReference {
                 crc_f64(live) != *crc
             })
             .map(|&(name, _, _)| name)
-            .collect()
-    }
-
-    /// Like [`QuiescenceReference::verify`], restricted to the buffers
-    /// owned by `side`.
-    pub fn verify_side(&self, esm: &CoupledEsm, side: Side) -> Vec<&'static str> {
-        self.verify(esm)
-            .into_iter()
-            .filter(|n| quiescent_side(n) == side)
             .collect()
     }
 

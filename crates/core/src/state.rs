@@ -15,10 +15,38 @@
 //! [`QUIESCENT_VARS`].
 
 use crate::esm::CoupledEsm;
-use crate::supervisor::Side;
 use coupler::exchange::FluxSet;
 use iosys::Snapshot;
 use std::fmt;
+
+/// The two component groups of the paper's heterogeneous mapping, each
+/// supervised, checkpointed and recovered on its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Side {
+    /// Atmosphere + land (heartbeat rank 1).
+    Fast,
+    /// Ocean + sea ice + BGC (heartbeat rank 2).
+    Slow,
+}
+
+impl Side {
+    /// Heartbeat rank of this group (rank 0 is the monitor).
+    pub fn rank(self) -> usize {
+        self.idx() + 1
+    }
+
+    pub(crate) fn idx(self) -> usize {
+        self as usize
+    }
+
+    pub(crate) fn peer(self) -> Side {
+        [Side::Slow, Side::Fast][self.idx()]
+    }
+
+    pub(crate) fn stem(self) -> &'static str {
+        ["fast", "slow"][self.idx()]
+    }
+}
 
 /// How a table row reaches its data.
 #[derive(Clone, Copy)]

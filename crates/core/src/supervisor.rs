@@ -26,68 +26,37 @@
 //!   declared physical bounds; NaN/Inf or out-of-range values are
 //!   rejected, clamped, or replaced per [`coupler::RepairPolicy`] and
 //!   never reach the peer's state.
-//! * **Localized recovery**: a failed side respawns from the newest
-//!   intact generation of its *own* checkpoint ring
-//!   ([`iosys::CheckpointRing::read_generation`]) while the healthy side
-//!   continued in degraded mode; both sides then replay deterministically
-//!   from the last common healthy checkpoint, overwriting every
-//!   speculative (degraded-input) window with true values. Because the
-//!   replay reuses logged true fluxes, re-applies chaos injections, and
-//!   re-screens with `record = false`, the final state is **bitwise
-//!   identical** to a fault-free run whenever no `PersistLast` repair
-//!   stuck (the documented caveat).
+//! * **Localized recovery**: a failed side's live state is poisoned;
+//!   after `respawn_delay_windows` both sides restore from the newest
+//!   base of the per-side rings `fast` and `slow` that reads back intact
+//!   (the recovery core, `crate::recovery`, also behind the SDC screen
+//!   and the report), and replay jointly from it with `record = false`,
+//!   from the logged true fluxes and with no heartbeat. Every
+//!   speculative (degraded-input) window is overwritten with true
+//!   values, so the final state is **bitwise identical** to a fault-free
+//!   run whenever no `PersistLast` repair stuck (the documented caveat).
+//!   A static buffer the checksum screen finds flipped recovers its
+//!   owning side the same way.
 //!
 //! Checkpointing is suspended while any rank is suspected or down, so no
 //! speculative state ever reaches the rings.
 
 use crate::esm::CoupledEsm;
 use crate::health::{FailureDetector, HealthConfig, HealthError, Verdict};
-use crate::resilience::{faults_fired, open_ring, EsmError, ResilienceReport};
+use crate::recovery::{CheckpointPolicy, Detector, Recovery};
+use crate::resilience::{EsmError, ResilienceReport};
+use crate::sdc::StateFaultPlan;
+use crate::state::Side;
 use coupler::{FluxSet, PersistenceFallback, QuarantineGate, RepairPolicy};
-use iosys::{CheckpointRing, RestartError, RetryPolicy, Storage};
+use iosys::{RetryPolicy, Storage};
 use mpisim::{heartbeat_round_traced, FaultPlan};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// The two supervised component groups.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Side {
-    /// Atmosphere + land (heartbeat rank 1).
-    Fast,
-    /// Ocean + sea ice + BGC (heartbeat rank 2).
-    Slow,
-}
-
 const SIDES: [Side; 2] = [Side::Fast, Side::Slow];
-
-impl Side {
-    /// Heartbeat rank of this group (rank 0 is the monitor).
-    pub fn rank(self) -> usize {
-        self.idx() + 1
-    }
-
-    fn idx(self) -> usize {
-        match self {
-            Side::Fast => 0,
-            Side::Slow => 1,
-        }
-    }
-
-    fn peer(self) -> Side {
-        match self {
-            Side::Fast => Side::Slow,
-            Side::Slow => Side::Fast,
-        }
-    }
-
-    pub(crate) fn stem(self) -> &'static str {
-        match self {
-            Side::Fast => "fast",
-            Side::Slow => "slow",
-        }
-    }
-}
+/// Generations retained per side's ring.
+const KEEP_GENERATIONS: usize = 4;
 
 /// Tuning of the supervised driver.
 #[derive(Debug, Clone)]
@@ -115,7 +84,7 @@ pub struct SupervisorConfig {
     /// Retry policy for checkpoint-generation writes.
     pub checkpoint_retry: RetryPolicy,
     /// In-state bit-flip injection plan (SDC chaos; see [`crate::sdc`]).
-    pub sdc_plan: Option<Arc<crate::sdc::StateFaultPlan>>,
+    pub sdc: Option<Arc<StateFaultPlan>>,
     /// Verify per-side quiescence checksums every window. A corrupted
     /// static buffer is localized to its owning side, repaired from the
     /// pristine reference, and the side is recovered exactly like a
@@ -123,12 +92,6 @@ pub struct SupervisorConfig {
     pub quiescence_checks: bool,
 }
 
-/// Shard files per checkpoint generation.
-const N_FILES: usize = 2;
-/// Staggered reader groups on restore.
-const N_READERS: usize = 2;
-/// Generations retained per side's ring.
-const KEEP_GENERATIONS: usize = 4;
 /// Respawns allowed per side before giving up.
 const MAX_RESPAWNS: u32 = 4;
 
@@ -143,7 +106,7 @@ impl Default for SupervisorConfig {
             corrupt_flux: Vec::new(),
             storage: None,
             checkpoint_retry: RetryPolicy::default(),
-            sdc_plan: None,
+            sdc: None,
             quiescence_checks: false,
         }
     }
@@ -153,13 +116,10 @@ impl Default for SupervisorConfig {
 struct Supervision<'a> {
     scfg: &'a SupervisorConfig,
     plan: Option<Arc<FaultPlan>>,
-    dir: PathBuf,
     /// Absolute window base (windows already run before this call).
     w0: u64,
-    rings: [CheckpointRing; 2],
-    /// Per checkpoint still on both rings: the completed-window count it
-    /// covers and each ring's generation.
-    gens: Vec<(u64, [u64; 2])>,
+    /// Rings `fast` and `slow`, the SDC screen and the report.
+    core: Recovery<'a>,
     /// Per side: entry `v + 1` is the output of local window `v` and
     /// whether it was computed from a true (non-degraded) input; entry 0
     /// is the pre-run lag state the peer consumes in window 0. Entries
@@ -170,13 +130,11 @@ struct Supervision<'a> {
     /// Fallback serving each side's *incoming* fluxes when degraded.
     fallback: [PersistenceFallback; 2],
     detector: FailureDetector,
-    report: ResilienceReport,
     /// Next local window each side still has to run.
     next_run: [u64; 2],
     down: [bool; 2],
     respawn_at: [Option<u64>; 2],
     respawns: [u32; 2],
-    newest_gen: u64,
 }
 
 impl Supervision<'_> {
@@ -202,8 +160,8 @@ impl Supervision<'_> {
             None => {
                 debug_assert!(record, "replay inputs exist by construction");
                 let f = self.fallback[i].degrade(abs).map_err(flux_err)?;
-                self.report.degraded_windows += 1;
-                self.report.degraded.push(abs);
+                self.core.report.degraded_windows += 1;
+                self.core.report.degraded.push(abs);
                 (f, false)
             }
         };
@@ -259,77 +217,25 @@ impl Supervision<'_> {
         Ok(())
     }
 
-    /// Write one generation of both per-side rings (state after
-    /// `completed` local windows). A side whose write fails (beyond the
-    /// ring's own retries) is a recorded degraded event, not a run
-    /// killer: there is no common base at `completed`, and `recover`
-    /// falls back to the previous one.
-    ///
-    /// Then forget what recovery can no longer use: bases one of whose
-    /// generations its ring has pruned, and the logged outputs below the
-    /// oldest remaining base and below both sides' next window.
-    fn checkpoint(&mut self, esm: &CoupledEsm, completed: u64) {
-        let gens = SIDES.map(|side| {
-            let snap = esm.snapshot_side(side);
-            let what = format!("window {completed}: {}", side.stem());
-            let ring = &mut self.rings[side.idx()];
-            self.report.write_generation(ring, &snap, N_FILES, &what)
-        });
-        self.newest_gen = gens.iter().flatten().fold(self.newest_gen, |a, &g| a.max(g));
-        if let [Some(gf), Some(gs)] = gens {
-            self.gens.push((completed, [gf, gs]));
-        }
-        let rings = &self.rings;
-        self.gens.retain(|(_, g)| rings[0].keeps(g[0]) && rings[1].keeps(g[1]));
-        let oldest = self.gens.first().map_or(u64::MAX, |g| g.0);
-        let floor = oldest.min(self.next_run[0]).min(self.next_run[1]) as usize;
-        for log in &mut self.out_log {
-            log[..floor].iter_mut().for_each(|e| *e = None);
-        }
-    }
-
     /// Localized recovery of `failed` at local window `w`: restore both
-    /// sides from the newest common intact generation, then jointly
-    /// replay windows up to (excluding) `w`. The healthy side's
-    /// speculative (degraded-input) windows are overwritten with true
+    /// sides from the newest common intact base, then jointly replay
+    /// windows up to (excluding) `w`. The healthy side's speculative
+    /// (degraded-input) windows are overwritten with true
     /// recomputations, so the post-recovery state matches a fault-free
     /// run bitwise (absent sticky `PersistLast` repairs).
     fn recover(&mut self, esm: &mut CoupledEsm, failed: Side, w: u64) -> Result<(), EsmError> {
-        // Checkpoints that landed on BOTH rings, newest first.
-        let mut restored = None;
-        for &(base, [gf, gs]) in self.gens.iter().rev().filter(|g| g.0 <= w) {
-            // Damaged generations are skipped; recovery walks back to the
-            // next common base, exactly like the global ring.
-            let fast = self.rings[0].read_generation(gf, N_READERS);
-            let slow = self.rings[1].read_generation(gs, N_READERS);
-            match (fast, slow) {
-                (Ok(sf), Ok(ss)) => {
-                    restored = Some((base, [gf, gs][failed.idx()], sf, ss));
-                    break;
-                }
-                _ => {
-                    self.report.generation_fallbacks += 1;
-                }
-            }
-        }
-        let Some((base, failed_gen, snap_fast, snap_slow)) = restored else {
-            return Err(EsmError::Restart(RestartError::NotFound {
-                dir: self.dir.clone(),
-                stem: failed.stem().to_string(),
-            }));
-        };
-
-        esm.restore_fast(&snap_fast);
-        esm.restore_slow(&snap_slow);
+        let (restored, _) = self.core.restore(esm, w)?;
+        let base = restored.completed;
+        let failed_gen = restored.gens[failed.idx()];
         self.detector.mark_respawned(self.w0 + w, failed.rank(), failed_gen);
-        self.report.respawns += 1;
+        self.core.report.respawns += 1;
 
         for v in base..w {
             self.run_one(esm, Side::Fast, v, false)?;
             self.run_one(esm, Side::Slow, v, false)?;
         }
         self.next_run = [w, w];
-        self.report.replayed_windows += w - base;
+        self.core.report.replayed_windows += w - base;
         self.detector.mark_recovered(self.w0 + w, failed.rank(), w - base);
         self.down[failed.idx()] = false;
         self.respawn_at[failed.idx()] = None;
@@ -386,44 +292,39 @@ impl CoupledEsm {
             log
         });
 
-        let ring = |side: Side| {
-            open_ring(&scfg.storage, dir, side.stem(), KEEP_GENERATIONS, scfg.checkpoint_retry)
+        let policy = CheckpointPolicy {
+            sides: &[Some(Side::Fast), Some(Side::Slow)],
+            n_files: 2,
+            keep: KEEP_GENERATIONS,
+            n_readers: 2,
+            storage: &scfg.storage,
+            retry: scfg.checkpoint_retry,
+            corrupt: &[],
         };
+        let core = Recovery::open(self, dir, policy, &scfg.sdc, scfg.quiescence_checks)?;
         let mut sup = Supervision {
             scfg,
             plan,
-            dir: dir.to_path_buf(),
             w0: self.windows_run,
-            rings: [ring(Side::Fast)?, ring(Side::Slow)?],
-            gens: Vec::new(),
+            core,
             out_log,
             gates: [gate_fast, gate_slow],
             fallback,
             detector: FailureDetector::new(3, &scfg.health),
-            report: ResilienceReport::default(),
             next_run: [0, 0],
             down: [false, false],
             respawn_at: [None, None],
             respawns: [0, 0],
-            newest_gen: 0,
         };
         // Generation covering the starting state, so window 0 can recover.
-        sup.checkpoint(self, 0);
-        let graph0 = self.replay.stats;
-        // Pristine static-buffer checksums, captured before any SDC flip
-        // can fire.
-        let quiescence = scfg
-            .quiescence_checks
-            .then(|| crate::sdc::QuiescenceReference::capture(self));
+        sup.core.checkpoint(self, 0, None)?;
 
         for w in 0..n {
             let abs = sup.w0 + w;
 
             // ---- 0. SDC chaos: due in-state bit flips fire before
             // anything runs this window (plan windows are 1-based).
-            if let Some(p) = &scfg.sdc_plan {
-                crate::sdc::apply_due_flips(self, p, w + 1);
-            }
+            sup.core.fire_flips(self, w + 1);
 
             // ---- 1. due respawns happen before anything else this window.
             for side in SIDES {
@@ -440,19 +341,11 @@ impl CoupledEsm {
                 vec![abs as f64, probes[1].is_some() as u8 as f64],
             ];
             let down_ranks = [false, sup.down[0], sup.down[1]];
-            let fired = faults_fired(sup.plan.as_ref());
-            let (statuses, traces) = heartbeat_round_traced(
-                3,
-                abs,
-                &mpisim::BeatConfig::default(),
-                sup.plan.as_ref(),
-                &down_ranks,
-                &payloads,
-            );
-            // The exit check: a collision, or a beat left unreceived
-            // without a fault, lands in the report as a violation.
-            let fault_fired = faults_fired(sup.plan.as_ref()) > fired;
-            sup.report.absorb_round(&traces, fault_fired);
+            let plan = sup.plan.as_ref();
+            let statuses = sup.core.round(plan, || {
+                let beat = mpisim::BeatConfig::default();
+                heartbeat_round_traced(3, abs, &beat, plan, &down_ranks, &payloads)
+            });
             let verdicts = sup.detector.observe(abs, &statuses);
 
             // ---- 3. transitions: declare failures, schedule respawns.
@@ -494,30 +387,28 @@ impl CoupledEsm {
             }
 
             // ---- 4c. quiescence checksums: a flipped bit in a static
-            // buffer is localized to its owning side by the per-side
-            // CRCs, the buffer is repaired from the pristine reference,
-            // and the side is treated like a failed rank — its dynamic
-            // state may already have consumed the corrupt static, so it
-            // is poisoned and jointly recovered from the rings onto the
-            // now-clean statics within the same window.
-            if let Some(q) = &quiescence {
-                for side in SIDES {
-                    let dirty = q.verify_side(self, side);
-                    if dirty.is_empty() {
-                        continue;
-                    }
-                    for name in &dirty {
-                        q.repair(self, name);
-                    }
-                    sup.report.sdc_detected_checksum += 1;
-                    sup.report.faults_absorbed.push(format!(
-                        "window {abs}: quiescent checksum mismatch on {} side: {}",
-                        side.stem(),
-                        dirty.join(", ")
-                    ));
-                    sup.lose(self, side, abs)?;
-                    sup.recover(self, side, w + 1)?;
+            // buffer is localized to its owning side, the screen repairs
+            // it from the pristine reference, and the side is treated
+            // like a failed rank — its dynamic state may already have
+            // consumed the corrupt static, so it is poisoned and jointly
+            // recovered from the rings onto the now-clean statics within
+            // the same window.
+            let dirty = sup.core.screen_statics(self);
+            if !dirty.is_empty() {
+                sup.core.charge(Detector::Checksum);
+            }
+            for side in SIDES {
+                let mine: Vec<_> = (dirty.iter()).filter(|d| d.1 == side).map(|d| d.0).collect();
+                if mine.is_empty() {
+                    continue;
                 }
+                sup.core.report.faults_absorbed.push(format!(
+                    "window {abs}: quiescent checksum mismatch on {} side: {}",
+                    side.stem(),
+                    mine.join(", ")
+                ));
+                sup.lose(self, side, abs)?;
+                sup.recover(self, side, w + 1)?;
             }
 
             // ---- 5. checkpoint — only fully healthy, fully true state.
@@ -529,7 +420,14 @@ impl CoupledEsm {
                 && !sup.detector.any_unhealthy()
                 && (w + 1).is_multiple_of(scfg.checkpoint_every)
             {
-                sup.checkpoint(self, w + 1);
+                sup.core.checkpoint(self, w + 1, None)?;
+                // Forget the logged outputs below the oldest base recovery
+                // can still restore and below both sides' next window.
+                let oldest = sup.core.oldest_base().unwrap_or(u64::MAX);
+                let floor = oldest.min(sup.next_run[0]).min(sup.next_run[1]) as usize;
+                for log in &mut sup.out_log {
+                    log[..floor].iter_mut().for_each(|e| *e = None);
+                }
             }
         }
 
@@ -554,17 +452,12 @@ impl CoupledEsm {
         self.windows_run = sup.w0 + n;
         self.timers.account_call(t0, n as f64 * self.cfg.coupling_s);
 
-        let mut report = sup.report;
-        report.windows_run = n;
-        report.final_generation = sup.newest_gen;
-        report.checkpoint_retries = sup.rings.iter().map(|r| r.io_retries()).sum();
+        let mut report = sup.core.finish(self, n);
         report.timeline = sup.detector.into_timeline();
-        report.absorb_graph_stats(graph0, self.replay.stats);
         let mut events: Vec<_> = sup.gates[0].events().to_vec();
         events.extend_from_slice(sup.gates[1].events());
         events.sort_by_key(|e| e.window);
         report.quarantine_events = events;
-        report.sdc_injected = crate::sdc::injected(&scfg.sdc_plan);
         if let Some(plan) = &sup.plan {
             let fr = plan.report();
             report
@@ -862,7 +755,7 @@ mod tests {
         ));
         let scfg = SupervisorConfig {
             quiescence_checks: true,
-            sdc_plan: Some(sdc.clone()),
+            sdc: Some(sdc.clone()),
             ..quick_scfg()
         };
         let mut a = tiny();

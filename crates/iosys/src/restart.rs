@@ -141,6 +141,11 @@ fn atomic_write_with(storage: &dyn Storage, path: &Path, bytes: &[u8]) -> Result
     Ok(())
 }
 
+/// The file of shard `f` of checkpoint `stem` in `dir`.
+fn shard_path(dir: &Path, stem: &str, f: usize) -> PathBuf {
+    dir.join(format!("{stem}_{f:03}.esmr"))
+}
+
 /// Write `snapshot` as `n_files` files named `<stem>_NNN.esmr` in `dir`.
 /// Variables are assigned round-robin, mirroring ICON's "subset of ranks
 /// collects the variables and writes them to one file each". Every shard
@@ -166,7 +171,7 @@ pub fn write_checkpoint_with(
     storage.create_dir_all(dir)?;
     let mut paths = Vec::with_capacity(n_files);
     for f in 0..n_files {
-        let path = dir.join(format!("{stem}_{f:03}.esmr"));
+        let path = shard_path(dir, stem, f);
         atomic_write_with(storage, &path, &encode_file_v2(snapshot, f, n_files))?;
         paths.push(path);
     }
@@ -528,6 +533,11 @@ impl CheckpointRing {
 
     fn gen_stem(&self, generation: u64) -> String {
         format!("{}.g{generation:04}", self.stem)
+    }
+
+    /// The file shard `shard` of `generation` is written to.
+    pub fn shard_path(&self, generation: u64, shard: usize) -> PathBuf {
+        shard_path(&self.dir, &self.gen_stem(generation), shard)
     }
 
     /// Generation numbers currently on disk, sorted ascending.
