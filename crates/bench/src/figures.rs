@@ -1028,6 +1028,49 @@ pub fn protocol() -> Value {
     })
 }
 
+/// `results/golden.json` — the bitwise oracle: `esm_core::sdc::crc_f64`
+/// of every snapshot var after each of 4 bare `EsmConfig::tiny()` windows,
+/// for the sequential and the concurrent driver, with the toolchain that
+/// produced them. `tests/golden.rs` recomputes it; a change that must keep
+/// the model's bits regenerates this file byte-identical.
+pub fn golden() -> Value {
+    use esm_core::{sdc::window_ledger, EsmConfig};
+    const WINDOWS: usize = 4;
+
+    println!("\n== Golden: per-window snapshot CRCs, tiny config, {WINDOWS} windows ==");
+    let rustc = std::process::Command::new("rustc")
+        .arg("-vV")
+        .output()
+        .map(|o| String::from_utf8_lossy(&o.stdout).into_owned())
+        .unwrap_or_default();
+    let field = |key: &str| {
+        rustc
+            .lines()
+            .find_map(|l| l.strip_prefix(key))
+            .unwrap_or("unknown")
+            .to_string()
+    };
+    let mut out = vec![
+        ("config".to_string(), json!("EsmConfig::tiny()")),
+        ("rustc".to_string(), json!(field("release: "))),
+        ("target".to_string(), json!(field("host: "))),
+        ("windows".to_string(), json!(WINDOWS)),
+    ];
+    for (driver, concurrent) in [("sequential", false), ("concurrent", true)] {
+        let ledger = window_ledger(EsmConfig::tiny(), WINDOWS, concurrent);
+        println!("{driver:>10}: {} vars per window", ledger[0].len());
+        let windows = ledger
+            .into_iter()
+            .map(|vars| {
+                let crcs = vars.into_iter().map(|(name, crc)| (name, json!(format!("{crc:#010x}"))));
+                Value::Map(crcs.collect())
+            })
+            .collect();
+        out.push((driver.to_string(), Value::Seq(windows)));
+    }
+    Value::Map(out)
+}
+
 /// One artifact: its name, where its numbers come from, its generator.
 pub type Artifact = (&'static str, &'static str, fn() -> Value);
 
@@ -1053,6 +1096,7 @@ pub const ARTIFACTS: &[Artifact] = &[
     ("sdc", "counted", sdc),
     ("protocol", "counted", protocol),
     ("cost_roofline", "modeled+counted", cost_roofline),
+    ("golden", "counted", golden),
 ];
 
 #[cfg(test)]

@@ -33,6 +33,7 @@
 //! is clean, which is exactly the transient-fault model the resilience
 //! machinery absorbs bit-exactly.
 
+use crate::config::EsmConfig;
 use crate::esm::CoupledEsm;
 use crate::state::{Side, QUIESCENT_VARS};
 use mpisim::Splitmix64;
@@ -296,6 +297,20 @@ pub fn crc_f64(data: &[f64]) -> u32 {
         h.update(&bytes[..vals.len() * 8]);
     }
     h.finalize()
+}
+
+/// The bitwise ledger of a bare run: after each of `windows` calls of
+/// `run_windows(1, concurrent)`, every snapshot var's name and
+/// [`crc_f64`]. `results/golden.json` pins it for [`EsmConfig::tiny`].
+pub fn window_ledger(cfg: EsmConfig, windows: usize, concurrent: bool) -> Vec<Vec<(String, u32)>> {
+    let mut esm = CoupledEsm::new(cfg);
+    (0..windows)
+        .map(|_| {
+            esm.run_windows(1, concurrent).expect("a bare window of a valid config runs");
+            let snap = esm.snapshot();
+            snap.vars.iter().map(|(name, data)| (name.clone(), crc_f64(data))).collect()
+        })
+        .collect()
 }
 
 /// Which component group owns a static buffer (the side a checksum
