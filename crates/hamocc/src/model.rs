@@ -1,6 +1,6 @@
-//! The assembled biogeochemistry component: transport (reusing the ocean's
-//! advection operator), particle sinking with sediment burial, ecosystem
-//! dynamics, and air–sea exchange.
+//! The assembled biogeochemistry component: transport (the ocean's
+//! velocities through `icongrid::transport`), particle sinking with
+//! sediment burial, ecosystem dynamics, and air–sea exchange.
 
 use crate::biology::{ecosystem_column, BioParams};
 use crate::carbonate;
@@ -8,8 +8,8 @@ use crate::tracers::{Tracer, N_TRACERS, REDFIELD_C};
 use icongrid::column::{implicit_diffusion, Layers};
 use icongrid::exchange::Exchange;
 use icongrid::ops::CGrid;
+use icongrid::transport::{upwind, EdgeFlux};
 use icongrid::{Field2, Field3};
-use ocean::model::advect_tracer_3d;
 use ocean::Ocean;
 use rayon::prelude::*;
 use std::sync::Arc;
@@ -110,21 +110,13 @@ impl<G: CGrid> Hamocc<G> {
         let n_cells = g.n_cells();
 
         // --- transport: the "large three-dimensional fields" of §5.1.
-        for tr in self.tracers.iter_mut() {
-            advect_tracer_3d(
-                g,
-                mask,
-                p,
-                &oce.state.vn,
-                &oce.state.w,
-                dt,
-                tr,
-                &mut self.tracer_old,
-            );
-        }
         {
-            let mut refs: Vec<&mut Field3> = self.tracers.iter_mut().collect();
-            x.cells3_many(&mut refs);
+            let mut tracers: Vec<&mut Field3> = self.tracers.iter_mut().collect();
+            let levels = Some((&mask.cell_levels[..], &mask.edge_levels[..]));
+            let flux = EdgeFlux::PerLength(&oce.state.vn);
+            let vertical = Some((&oce.state.w, &p.dz[..]));
+            upwind(g, flux, None, levels, vertical, dt, &mut tracers, &mut self.tracer_old);
+            x.cells3_many(&mut tracers);
         }
         for tr in self.tracers.iter_mut() {
             implicit_diffusion(

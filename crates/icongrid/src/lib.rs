@@ -22,6 +22,8 @@
 //! * [`field`] — dense column-major field containers,
 //! * [`column`] — the one tridiagonal solver and implicit vertical
 //!   diffusion operator under atmosphere, land, ocean and HAMOCC,
+//! * [`transport`] — the one upwind flux-form tracer transport kernel
+//!   under atmosphere, ocean and HAMOCC,
 //! * [`ops`] — discrete C-grid operators (divergence, gradient, curl,
 //!   kinetic-energy gather, vector reconstruction),
 //! * [`decomp`] — space-filling-curve domain decomposition with
@@ -39,6 +41,7 @@ pub mod mask;
 pub mod ops;
 pub mod refine;
 pub mod subgrid;
+pub mod transport;
 pub mod vertical;
 
 pub use decomp::Decomposition;

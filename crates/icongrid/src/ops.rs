@@ -329,38 +329,6 @@ pub fn tangential_velocity<G: CGrid>(g: &G, cell_vec: &[Field3; 3], out: &mut Fi
         });
 }
 
-/// First-order upwind flux divergence of a cell tracer `q` advected by the
-/// edge normal velocity `vn` (per unit area):
-/// `out[c] = (1/A_c) * sum_e sign(c,e) * l_e * vn[e] * q_upwind(e)`.
-///
-/// The upwind value is `q[c0]` when `vn >= 0` (flow from cell 0 to cell 1)
-/// and `q[c1]` otherwise. Monotone and positivity-preserving under CFL.
-pub fn flux_divergence_upwind<G: CGrid>(g: &G, vn: &Field3, q: &Field3, out: &mut Field3) {
-    let nlev = vn.nlev();
-    debug_assert_eq!(out.n(), g.n_cells());
-    out.as_mut_slice()
-        .par_chunks_mut(nlev)
-        .enumerate()
-        .for_each(|(c, col)| {
-            let edges = g.cell_edges(c);
-            let signs = g.cell_edge_sign(c);
-            let inv_a = 1.0 / g.cell_area(c);
-            col.fill(0.0);
-            for i in 0..3 {
-                let e = edges[i] as usize;
-                let [c0, c1] = g.edge_cells(e);
-                let w = signs[i] * g.edge_length(e) * inv_a;
-                let q0 = q.col(c0 as usize);
-                let q1 = q.col(c1 as usize);
-                let ve = vn.col(e);
-                for k in 0..nlev {
-                    let qup = if ve[k] >= 0.0 { q0[k] } else { q1[k] };
-                    col[k] += w * ve[k] * qup;
-                }
-            }
-        });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -557,19 +525,5 @@ mod tests {
                 vt.at(e, 0)
             );
         }
-    }
-
-    #[test]
-    fn upwind_advection_conserves_tracer_mass() {
-        let g = grid();
-        let axis = Vec3::new(0.2, 0.3, 0.9).normalized();
-        let vn = edge_field_from(&g, |p| axis.cross(p).scale(20.0), 1);
-        let q = Field3::from_fn(g.n_cells, 1, |c, _| 1.0 + g.cell_center[c].x);
-        let mut tend = Field3::zeros(g.n_cells, 1);
-        flux_divergence_upwind(&g, &vn, &q, &mut tend);
-        // sum_c A_c * tend_c == 0 (every edge flux appears twice, opposite).
-        let total = tend.weighted_sum(&g.cell_area);
-        let scale: f64 = q.weighted_sum(&g.cell_area);
-        assert!(total.abs() < 1e-10 * scale.abs());
     }
 }
